@@ -272,15 +272,14 @@ struct JobConfig {
   int port_base = 0;
   // Prefix for job-scoped trace names (e.g. "j3."); empty = legacy names.
   std::string trace_scope;
-  // Set by the scheduler when ANY resident job can crash nodes: every job
-  // sharing the cluster must run the fault-tolerant protocol (ledger,
-  // expected-sender registry, park barrier) or a neighbour's crash would
-  // hang its shuffle streams.
+  // Set by the scheduler when ANY resident job can crash nodes: a
+  // neighbour's crash can then kill a node under this job too, so it must
+  // keep what recovery reads (see can_lose_node()).
   bool expect_crashes = false;
-  // Set by the scheduler when the job may be suspended mid-run: the job
-  // arms the map-output ledger and runs the fault-tolerant protocol so its
-  // durable work can be replayed by a later residency. Combining is forced
-  // off (re-fed ledger runs use raw shuffle framing).
+  // Set by the scheduler when the job may be suspended mid-run: nodes
+  // record their map outputs so a later residency can replay the durable
+  // work. Combining is forced off (re-fed ledger runs use raw shuffle
+  // framing).
   bool preemptable = false;
 
   bool scheduled() const { return job_id >= 0; }
@@ -288,9 +287,11 @@ struct JobConfig {
   int effective_merger_threads() const {
     return merger_threads > 0 ? merger_threads : partitions_per_node;
   }
-  bool fault_tolerant() const {
-    return !crash_events.empty() || speculate || expect_crashes || preemptable;
-  }
+  // A node can die under the job: output writes keep a retry copy.
+  bool can_lose_node() const { return !crash_events.empty() || expect_crashes; }
+  // A reader of the MapOutputLedger can exist (crash recovery, a resumed
+  // residency); only then do nodes pay the memory to record their runs.
+  bool records_map_outputs() const { return can_lose_node() || preemptable; }
 };
 
 // Per-stage busy times measured by the pipeline instrumentation; the basis

@@ -67,7 +67,7 @@ struct NodeRun {
   // and on rack-aggregator nodes the rack-tier one.
   std::unique_ptr<NodeCombiner> combiner;
   std::unique_ptr<NodeCombiner> rack_combiner;
-  MapOutputLedger ledger;  // populated only when cfg.fault_tolerant()
+  MapOutputLedger ledger;  // populated only when cfg.records_map_outputs()
   int handled_epoch = 0;   // recovery rounds this node has executed
   std::set<int> reduced;   // global partitions this node already reduced
 };
@@ -95,18 +95,13 @@ sim::Task<> shuffle_receiver(NodeContext ctx, int port, int expected,
       tags.resize(r.get_u32());
       for (auto& t : tags) t = r.get_u64();
     }
-    if (ctx.config->fault_tolerant()) {
-      // Drop zombie/stale deliveries: a dead node's store is never reduced
-      // (and feeding it would initiate new cache-flush work on a dead
-      // machine). A live node always still owns what was routed to it —
-      // ownership only ever moves off dead nodes.
-      if (!ctx.self_live() || ctx.owner_of(g) != ctx.node_id) {
-        continue;
-      }
-    } else {
-      GW_CHECK_MSG(ctx.owner_of(g) == ctx.node_id,
-                   "partition routed to wrong node");
-    }
+    // Drain zombie deliveries unread: a dead node's store is never reduced
+    // (and feeding it would initiate new cache-flush work on a dead
+    // machine). A live node always still owns what was routed to it —
+    // ownership only ever moves off dead nodes.
+    if (!ctx.self_live()) continue;
+    GW_CHECK_MSG(ctx.owner_of(g) == ctx.node_id,
+                 "partition routed to wrong node");
     if (combined) {
       co_await ctx.store->add_combined_run(g, Run::deserialize(r),
                                            std::move(tags));
@@ -360,7 +355,6 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   auto& sim = ctx.sim();
   auto& tr = sim.tracer();
   const JobConfig& cfg = *ctx.config;
-  const bool ft = cfg.fault_tolerant();
   const auto t = state.phase_track;
   const auto map_name = tr.intern(cfg.trace_scope + "phase.map");
   const auto merge_name = tr.intern(cfg.trace_scope + "phase.merge");
@@ -451,22 +445,21 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   co_await ctx.store->drain();
   tr.end(t, trace::Kind::kPhase, merge_name, sim.now());
 
-  // Reduce (and, under fault tolerance, recover-then-reduce until the job
-  // is globally complete). Each pass reduces the owned partitions that have
-  // no output yet; a crash during anyone's reduce re-enters the loop.
+  // Recover-then-reduce until the job is globally complete. Each pass runs
+  // any recovery rounds a crash created, then reduces the owned partitions
+  // that have no output yet; a crash during anyone's reduce re-enters the
+  // loop.
   for (;;) {
     if (!ctx.self_live()) co_return;
-    if (ft) {
-      co_await run_recovery_rounds(ctx, scheduler, state, shared, map_device);
-      if (!ctx.self_live()) co_return;
-    }
+    co_await run_recovery_rounds(ctx, scheduler, state, shared, map_device);
+    if (!ctx.self_live()) co_return;
     std::vector<int> todo;
     for (int g = 0; g < ctx.total_partitions; ++g) {
       if (shared.owner[static_cast<std::size_t>(g)] != ctx.node_id) continue;
       if (state.reduced.count(g) > 0) continue;
       // A partition whose file was committed before its owner died needs no
       // re-reduction: DFS output survives crashes via replication.
-      if (ft && ctx.fs->exists(partition_output_path(cfg, g))) continue;
+      if (ctx.fs->exists(partition_output_path(cfg, g))) continue;
       todo.push_back(g);
     }
     if (!todo.empty()) {
@@ -500,7 +493,6 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
       }
       tr.end(t, trace::Kind::kPhase, reduce_name, sim.now());
     }
-    if (!ft) co_return;
     if (state.handled_epoch < shared.crash_epoch) continue;
 
     // Done for now — but a later crash can reassign partitions to this
@@ -542,7 +534,6 @@ struct JobExec {
   int num_nodes = 0;
   int total_partitions = 0;
   double start = 0;
-  bool ft = false;
   int rack_size = 0;
   std::vector<int> start_live;
   bool degraded = false;
@@ -722,7 +713,6 @@ void JobExec::setup() {
   num_nodes = platform.num_nodes();
   total_partitions = num_nodes * config.partitions_per_node;
   start = sim.now();
-  ft = config.fault_tolerant();
 
   // Nodes already dead when the job starts (between DAG rounds, or a job
   // admitted to a shared cluster after another tenant's crash) take no
@@ -792,85 +782,87 @@ void JobExec::setup() {
   }
   shared.park = std::make_unique<sim::Event>(sim);
 
-  if (ft) {
-    // JobTracker bookkeeping: who is expected on every shuffle stream (for
-    // crash compensation), the crash listener that reassigns work, and the
-    // scheduled crash events themselves.
-    if (config.combine_mode == CombineMode::kRack) {
-      // Rack mode reshapes the main-port streams: a node hears from its own
-      // rack's members plus the other racks' aggregators, and an aggregator
-      // additionally hears its members on the rack-agg port.
-      const RackTopology topo{rack_size, num_nodes};
-      for (int dst = 0; dst < num_nodes; ++dst) {
-        const int rack = topo.rack_of(dst);
-        std::vector<int> senders;
-        for (int i = 0; i < topo.members_of(rack); ++i) {
-          senders.push_back(topo.aggregator_of(rack) + i);
-        }
-        for (int r = 0; r < topo.num_racks(); ++r) {
-          if (r != rack) senders.push_back(topo.aggregator_of(r));
-        }
-        tp.expect_senders(dst, port(net::kPortShuffle), senders);
+  // JobTracker bookkeeping: who is expected on every shuffle stream (for
+  // crash compensation), the crash listener that reassigns work, and the
+  // scheduled crash events themselves.
+  if (config.combine_mode == CombineMode::kRack) {
+    // Rack mode reshapes the main-port streams: a node hears from its own
+    // rack's members plus the other racks' aggregators, and an aggregator
+    // additionally hears its members on the rack-agg port.
+    const RackTopology topo{rack_size, num_nodes};
+    for (int dst = 0; dst < num_nodes; ++dst) {
+      const int rack = topo.rack_of(dst);
+      std::vector<int> senders;
+      for (int i = 0; i < topo.members_of(rack); ++i) {
+        senders.push_back(topo.aggregator_of(rack) + i);
       }
       for (int r = 0; r < topo.num_racks(); ++r) {
-        std::vector<int> members;
-        for (int i = 0; i < topo.members_of(r); ++i) {
-          members.push_back(topo.aggregator_of(r) + i);
-        }
-        tp.expect_senders(topo.aggregator_of(r), port(net::kPortRackAgg),
-                          members);
+        if (r != rack) senders.push_back(topo.aggregator_of(r));
       }
-    } else {
-      // Only nodes alive at job start ever open a stream; dead-at-start
-      // nodes are neither senders nor receivers. All-alive this is the
-      // legacy everyone-to-everyone registration.
-      for (int dst : start_live) {
-        tp.expect_senders(dst, port(net::kPortShuffle), start_live);
-      }
+      tp.expect_senders(dst, port(net::kPortShuffle), senders);
     }
-    listener_id = sim.add_crash_listener([this](int node, bool alive) {
-      if (alive) return;  // a restarted node only serves as a DFS target
-      if (shared.failed.count(node) > 0) return;
-      shared.failed.insert(node);
-      shared.crash_epoch++;
-      const int round = shared.crash_epoch;
-      std::vector<int> participants;
-      for (int n = 0; n < num_nodes; ++n) {
-        if (shared.job_live(sim, n)) participants.push_back(n);
+    for (int r = 0; r < topo.num_racks(); ++r) {
+      std::vector<int> members;
+      for (int i = 0; i < topo.members_of(r); ++i) {
+        members.push_back(topo.aggregator_of(r) + i);
       }
-      GW_CHECK_MSG(!participants.empty(), "every node crashed; job is lost");
-      // Reassign the dead node's reduce partitions round-robin over the
-      // survivors (ascending ids: deterministic).
-      auto& moved = shared.reassigned[round];
-      std::size_t rr = 0;
-      for (int g = 0; g < total_partitions; ++g) {
-        if (shared.owner[static_cast<std::size_t>(g)] != node) continue;
-        shared.owner[static_cast<std::size_t>(g)] =
-            participants[rr++ % participants.size()];
-        moved.push_back(g);
-      }
-      shared.partitions_reassigned += moved.size();
-      shared.round_participants[round] = std::move(participants);
-      shared.crashed_node[round] = node;
-      // Splits the dead node ran or had committed go back for re-execution.
-      scheduler->on_crash(node);
-      // Failure detection: inject the dead node's missing EOS frames after
-      // the detection timeout, once its in-flight wire traffic drained.
-      sim.spawn([](sim::Simulation& s, net::Transport& t, int dead,
-                   double delay) -> sim::Task<> {
-        co_await s.delay(delay);
-        co_await t.compensate_crash(dead);
-      }(sim, tp, node, config.crash_detection_delay_s));
-      // Wake parked finishers: the crash may have handed them new work.
-      auto old_park = std::move(shared.park);
-      shared.park = std::make_unique<sim::Event>(sim);
-      old_park->set();  // waiters already rescheduled; safe to destroy
-    });
-    for (const auto& e : config.crash_events) {
-      GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
-                   "crash event names an unknown node");
-      sim.schedule_node_crash(e.node, e.time, e.restart_time);
+      tp.expect_senders(topo.aggregator_of(r), port(net::kPortRackAgg),
+                        members);
     }
+  } else {
+    // Only nodes alive at job start ever open a stream; dead-at-start
+    // nodes are neither senders nor receivers. All-alive this is the
+    // legacy everyone-to-everyone registration.
+    for (int dst : start_live) {
+      tp.expect_senders(dst, port(net::kPortShuffle), start_live);
+    }
+  }
+  listener_id = sim.add_crash_listener([this](int node, bool alive) {
+    if (alive) return;  // a restarted node only serves as a DFS target
+    if (shared.failed.count(node) > 0) return;
+    // Recovery re-feeds the dead node's partitions from the survivors'
+    // ledgers; a job that recorded none would silently lose their runs.
+    GW_CHECK_MSG(config.records_map_outputs(),
+                 "node crashed under a job that records no map outputs");
+    shared.failed.insert(node);
+    shared.crash_epoch++;
+    const int round = shared.crash_epoch;
+    std::vector<int> participants;
+    for (int n = 0; n < num_nodes; ++n) {
+      if (shared.job_live(sim, n)) participants.push_back(n);
+    }
+    GW_CHECK_MSG(!participants.empty(), "every node crashed; job is lost");
+    // Reassign the dead node's reduce partitions round-robin over the
+    // survivors (ascending ids: deterministic).
+    auto& moved = shared.reassigned[round];
+    std::size_t rr = 0;
+    for (int g = 0; g < total_partitions; ++g) {
+      if (shared.owner[static_cast<std::size_t>(g)] != node) continue;
+      shared.owner[static_cast<std::size_t>(g)] =
+          participants[rr++ % participants.size()];
+      moved.push_back(g);
+    }
+    shared.partitions_reassigned += moved.size();
+    shared.round_participants[round] = std::move(participants);
+    shared.crashed_node[round] = node;
+    // Splits the dead node ran or had committed go back for re-execution.
+    scheduler->on_crash(node);
+    // Failure detection: inject the dead node's missing EOS frames after
+    // the detection timeout, once its in-flight wire traffic drained.
+    sim.spawn([](sim::Simulation& s, net::Transport& t, int dead,
+                 double delay) -> sim::Task<> {
+      co_await s.delay(delay);
+      co_await t.compensate_crash(dead);
+    }(sim, tp, node, config.crash_detection_delay_s));
+    // Wake parked finishers: the crash may have handed them new work.
+    auto old_park = std::move(shared.park);
+    shared.park = std::make_unique<sim::Event>(sim);
+    old_park->set();  // waiters already rescheduled; safe to destroy
+  });
+  for (const auto& e : config.crash_events) {
+    GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
+                 "crash event names an unknown node");
+    sim.schedule_node_crash(e.node, e.time, e.restart_time);
   }
 
   // Job-wide span: the root every recovery event must nest inside. DAG
@@ -927,7 +919,7 @@ void JobExec::setup() {
     ctx.total_partitions = total_partitions;
     ctx.partition_owner = &shared.owner;
     ctx.shuffle_port = port(net::kPortShuffle);
-    ctx.ledger = ft ? &state.ledger : nullptr;
+    ctx.ledger = config.records_map_outputs() ? &state.ledger : nullptr;
     ctx.failed_nodes = &shared.failed;
     if (env != nullptr && !env->map_slots.empty()) {
       ctx.map_slot = env->map_slots[static_cast<std::size_t>(n)];
@@ -1230,15 +1222,13 @@ JobResult GlasswingRuntime::run(const AppKernels& app, JobConfig config,
   // coroutine is parked forever — a protocol deadlock, not a slow job.
   GW_CHECK_MSG(completed, "job hung: event queue drained with nodes parked");
   ex.finish_marks();
-  if (ex.ft) {
-    // Data in flight to a machine when it died vanishes with it: drop any
-    // stray inbox addressed to a crashed node (a round port it never got to
-    // open), then assert the fabric is otherwise clean.
-    for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
-    sim.run();  // drain anything the purge woke
-    ex.tp.clear_expected();
-  }
-  if (ex.listener_id >= 0) sim.remove_crash_listener(ex.listener_id);
+  // Data in flight to a machine when it died vanishes with it: drop any
+  // stray inbox addressed to a crashed node (a round port it never got to
+  // open), then assert the fabric is otherwise clean.
+  for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
+  sim.run();  // drain anything the purge woke
+  ex.tp.clear_expected();
+  sim.remove_crash_listener(ex.listener_id);
   if (failed) util::throw_error("job failed: " + failure);
   platform_.fabric().check_quiesced();
   return ex.finalize();
@@ -1263,23 +1253,21 @@ sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
   ex.finish_marks();
   const int lo = ex.config.port_base;
   const int hi = lo + net::kPortJobStride;
-  if (ex.ft) {
-    // Scoped teardown: only this job's port namespace is purged and its
-    // expected-sender records cleared, so resident neighbours keep theirs.
-    // The purge can wake a zombie receiver still parked on a dropped inbox;
-    // one zero-delay tick lets it unwind before this frame (the NodeRun
-    // state it touches) is destroyed — the async stand-in for the
-    // synchronous path's post-purge sim.run().
-    if (lo > 0) {
-      for (int n : ex.shared.failed) platform_.fabric().purge_node(n, lo, hi);
-      ex.tp.clear_expected(lo, hi);
-    } else {
-      for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
-      ex.tp.clear_expected();
-    }
-    co_await ex.sim.delay(0);
+  // Scoped teardown: only this job's port namespace is purged and its
+  // expected-sender records cleared, so resident neighbours keep theirs.
+  // The purge can wake a zombie receiver still parked on a dropped inbox;
+  // one zero-delay tick lets it unwind before this frame (the NodeRun state
+  // it touches) is destroyed — the async stand-in for the synchronous
+  // path's post-purge sim.run().
+  if (lo > 0) {
+    for (int n : ex.shared.failed) platform_.fabric().purge_node(n, lo, hi);
+    ex.tp.clear_expected(lo, hi);
+  } else {
+    for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
+    ex.tp.clear_expected();
   }
-  if (ex.listener_id >= 0) ex.sim.remove_crash_listener(ex.listener_id);
+  co_await ex.sim.delay(0);
+  ex.sim.remove_crash_listener(ex.listener_id);
   if (failed) util::throw_error("job failed: " + failure);
   if (lo > 0) {
     platform_.fabric().check_quiesced(lo, hi);

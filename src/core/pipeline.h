@@ -127,11 +127,13 @@ class SplitScheduler {
   std::uint64_t spec_losses_ = 0;
 };
 
-// Host-side record of the map runs a node made durable, kept only when
-// JobConfig::fault_tolerant(): for every produced run, a copy keyed by
-// global partition and dedup tag. When a reduce partition is reassigned off
-// a crashed node, survivors re-send their recorded runs for it from local
-// disk instead of re-running the map tasks that produced them.
+// Host-side record of the map runs a node made durable: for every produced
+// run, a copy keyed by global partition and dedup tag. When a reduce
+// partition is reassigned off a crashed node, survivors re-send their
+// recorded runs for it from local disk instead of re-running the map tasks
+// that produced them; a resumed residency replays it the same way. Kept
+// only when JobConfig::records_map_outputs(), i.e. when one of those
+// readers can exist (the copies cost peak memory).
 struct MapOutputLedger {
   std::map<int, std::vector<std::pair<std::uint64_t, Run>>> runs;
 
@@ -221,7 +223,7 @@ struct NodeContext {
   const std::vector<int>* partition_owner = nullptr;
   int shuffle_port = net::kPortShuffle;
   bool recovery = false;  // map pipeline re-executes lost splits this round
-  MapOutputLedger* ledger = nullptr;  // non-null when cfg.fault_tolerant()
+  MapOutputLedger* ledger = nullptr;  // non-null iff records_map_outputs()
   // Nodes that ever crashed, even if later restarted. A restarted node is
   // alive again for the Simulation/transport but never rejoins the job, so
   // every "should I keep doing job work / may I commit" check must consult

@@ -380,23 +380,24 @@ sim::Task<> write_output(Stage& st, NodeContext ctx, int g,
                               ctx.config->host.serialize_bytes_per_s);
   util::Bytes wire = co_await ctx.sim().join(std::move(work));
   const std::string path = partition_output_path(*ctx.config, g);
-  if (!ctx.config->fault_tolerant()) {
-    co_await ctx.fs->write(ctx.node_id, path, std::move(wire));
-  } else {
-    // HDFS-style pipeline recovery: a replica dying mid-write fails the
-    // attempt with NodeDownError; a live writer re-streams the file (crash
-    // pruning already dropped the dead node from placement, so the retry
-    // picks survivors). Only a writer that itself died abandons the output
-    // — and then the missing file is precisely what makes the recovery
-    // pass re-reduce `g` on its new owner.
-    for (;;) {
-      if (!ctx.self_live()) co_return;
-      try {
-        co_await ctx.fs->write(ctx.node_id, path, util::Bytes(wire));
-      } catch (const net::NodeDownError&) {
-        continue;
-      }
+  // HDFS-style pipeline recovery: a replica dying mid-write fails the
+  // attempt with NodeDownError; a live writer re-streams the file (crash
+  // pruning already dropped the dead node from placement, so the retry
+  // picks survivors). Only a writer that itself died abandons the output
+  // — and then the missing file is precisely what makes the recovery pass
+  // re-reduce `g` on its new owner. The file is copied for a retry only
+  // when a node can die; otherwise the one attempt takes the buffer.
+  const bool may_retry = ctx.config->can_lose_node();
+  for (;;) {
+    if (!ctx.self_live()) co_return;
+    // Kept out of the co_await expression: GCC 12 destroys a conditional's
+    // temporary twice when it is a coroutine call argument.
+    util::Bytes attempt = may_retry ? util::Bytes(wire) : std::move(wire);
+    try {
+      co_await ctx.fs->write(ctx.node_id, path, std::move(attempt));
       break;
+    } catch (const net::NodeDownError&) {
+      if (!may_retry) throw;
     }
   }
   m.output_pairs += pairs;

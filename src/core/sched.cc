@@ -359,10 +359,10 @@ sim::Task<void> Scheduler::run_job(int id) {
   // The trace scope stays keyed by JOB id (not window): a resumed job
   // reopens spans on the same labeled track across residencies.
   cfg.trace_scope = "j" + std::to_string(id) + ".";
-  // If ANY tenant injects node crashes, every job sharing the cluster must
-  // run the fault-tolerant shuffle protocol, or a neighbour's crash would
-  // hang its streams (submissions are all registered before run_all, so
-  // any_crashes_ is final here).
+  // If ANY tenant injects node crashes, a neighbour's crash can kill a node
+  // under every job sharing the cluster, so each must keep its map-output
+  // ledger and output retry copies for recovery (submissions are all
+  // registered before run_all, so any_crashes_ is final here).
   cfg.expect_crashes = any_crashes_;
   if (pc != nullptr) cfg.preemptable = true;
 

@@ -422,8 +422,9 @@ TEST_P(SchedCrash, NeighbourCrashDoesNotHangOrCorruptOtherTenants) {
     req.arrival_s = 0.0005 * i;
     if (i == 0) {
       // Tenant 0's first job kills node 3 early in its map phase; every
-      // resident neighbour must run the fault-tolerant protocol
-      // (expect_crashes) and finish correctly on the survivors.
+      // resident neighbour must keep its map-output ledger and a retry
+      // copy of its output (expect_crashes) and finish correctly on the
+      // survivors.
       req.config.crash_events.push_back(
           JobConfig::CrashEvent{3, 0.004, -1});
     }
