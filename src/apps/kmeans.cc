@@ -274,16 +274,4 @@ KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
   return out;
 }
 
-KmeansIterations kmeans_iterate(core::GlasswingRuntime& runtime,
-                                cluster::Platform& platform,
-                                dfs::FileSystem& fs, KmeansConfig config,
-                                std::vector<float> initial_centers,
-                                const std::string& points_path,
-                                const std::string& output_prefix,
-                                int iterations, core::JobConfig base) {
-  return kmeans_dag(runtime, platform, fs, config, std::move(initial_centers),
-                    points_path, output_prefix, iterations, std::move(base))
-      .iterations;
-}
-
 }  // namespace gw::apps

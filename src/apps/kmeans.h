@@ -74,16 +74,6 @@ KmeansDagResult kmeans_dag(core::GlasswingRuntime& runtime,
                            bool pin_inputs = false,
                            std::uint64_t pin_budget_bytes = 0);
 
-// Legacy entry point; now a thin wrapper over kmeans_dag with checkpoint
-// edges and no input pinning (byte-identical outputs and elapsed time).
-KmeansIterations kmeans_iterate(core::GlasswingRuntime& runtime,
-                                cluster::Platform& platform,
-                                dfs::FileSystem& fs, KmeansConfig config,
-                                std::vector<float> initial_centers,
-                                const std::string& points_path,
-                                const std::string& output_prefix,
-                                int iterations, core::JobConfig base);
-
 struct KmeansReference {
   std::vector<std::uint64_t> counts;     // per center
   std::vector<float> means;              // k * dims (0 when count == 0)

@@ -249,28 +249,15 @@ struct JobConfig {
   int dag_round = -1;
 
   // --- multi-tenant scheduling (core::Scheduler) ---
-  // Set by the scheduler when this job is one of N concurrent jobs sharing
-  // the cluster (-1 = legacy single-job run, byte-identical event order).
-  // A scheduled job:
-  //   * owns the port namespace [port_base, port_base + kPortJobStride)
-  //     (port_base = kPortJobStride * (job_id + 1)); all its private
-  //     services (shuffle, rack-agg, broadcast, recovery rounds) are
-  //     addressed at port_base + the legacy port enum value. DFS traffic
-  //     stays on the shared kPortDfs.
-  //   * never clears the tracer and scopes its span names with
-  //     `trace_scope` so concurrent jobs' spans stay distinguishable.
-  //   * tolerates nodes dead at admission (a job admitted after another
-  //     tenant's crash starts degraded, like a DAG round).
-  //   * tears down only its own port range (scoped purge / clear_expected /
-  //     check_quiesced) so resident neighbours are untouched.
-  int job_id = -1;
-  // Tenant the job is accounted to (scheduler bookkeeping only).
-  int tenant = 0;
-  // Priority class for Policy::kPriority: lower value = more urgent.
-  int priority = 0;
-  // First port of the job's private namespace; 0 = legacy shared ports.
+  // Every job owns the port namespace [port_base, port_base +
+  // kPortJobStride): its private services (shuffle, rack-agg, broadcast,
+  // recovery rounds) are addressed at port_base + the port enum value, and
+  // its teardown (purge / clear_expected / check_quiesced) touches only that
+  // range. DFS traffic stays on the shared kPortDfs. A job alone on the
+  // cluster keeps port_base 0 and an empty trace_scope; the scheduler gives
+  // each resident job a window of its own and a scope such as "j3." so
+  // concurrent jobs' spans stay distinguishable.
   int port_base = 0;
-  // Prefix for job-scoped trace names (e.g. "j3."); empty = legacy names.
   std::string trace_scope;
   // Set by the scheduler when ANY resident job can crash nodes: a
   // neighbour's crash can then kill a node under this job too, so it must
@@ -281,8 +268,6 @@ struct JobConfig {
   // work. Combining is forced off (re-fed ledger runs use raw shuffle
   // framing).
   bool preemptable = false;
-
-  bool scheduled() const { return job_id >= 0; }
 
   int effective_merger_threads() const {
     return merger_threads > 0 ? merger_threads : partitions_per_node;

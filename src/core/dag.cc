@@ -101,9 +101,7 @@ void JobDag::broadcast_payload(std::uint64_t bytes) {
     }
   }
   if (src < 0) return;
-  // Splitter/centroid broadcasts live inside the DAG's port namespace when
-  // the base config is scheduled (port_base > 0); legacy DAGs keep the
-  // shared kPortBroadcast.
+  // Splitter/centroid broadcasts live inside the DAG's port namespace.
   sim.spawn(broadcast_task(platform_, src,
                            config_.base.port_base + net::kPortBroadcast,
                            bytes));

@@ -1,7 +1,9 @@
 #include "core/job.h"
 
 #include <algorithm>
+#include <exception>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -514,10 +516,9 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   }
 }
 
-// Everything one job execution owns, factored out of GlasswingRuntime::run
-// so the synchronous single-job entry point and the scheduler-facing
-// run_async coroutine share one setup / mark / result-assembly path. Member
-// order mirrors the former run() locals so destruction order is unchanged.
+// Everything one job execution owns: run_async keeps one in its frame and
+// drives it through setup, the wait on every node, the closing trace marks
+// and result assembly.
 struct JobExec {
   cluster::Platform& platform;
   dfs::FileSystem& fs;
@@ -525,7 +526,7 @@ struct JobExec {
   std::vector<std::unique_ptr<cl::Device>>& reduce_devices;
   AppKernels app;     // normalized copy (partitioner default, combine gating)
   JobConfig config;   // normalized copy
-  const JobEnv* env;  // shared slots/governors; null = single-job
+  const JobEnv* env;  // shared slots/governors; non-null iff scheduled
   sim::Simulation& sim;
   net::Transport& tp;
 
@@ -564,8 +565,7 @@ struct JobExec {
         config(std::move(config_in)), env(env_in), sim(platform_in.sim()),
         tp(platform_in.transport()), all(platform_in.sim()) {}
 
-  // The job's private port for a well-known service (identity for the
-  // legacy port_base == 0).
+  // The job's private port for a well-known service.
   int port(int p) const { return config.port_base + p; }
   // Job-scoped trace name ("phase.map" -> "j3.phase.map" under a scope).
   std::string scoped(const char* name) const {
@@ -700,7 +700,7 @@ void JobExec::setup() {
     }
   }
 
-  if (config.scheduled()) {
+  if (env != nullptr) {
     // Concurrent jobs share one trace: nothing global to clear, and the
     // job's occupancy accumulators are already private via trace_scope.
   } else if (config.dag_round < 0) {
@@ -725,7 +725,7 @@ void JobExec::setup() {
   GW_CHECK_MSG(!start_live.empty(), "every node is dead at job start");
   degraded = static_cast<int>(start_live.size()) < num_nodes;
   if (degraded) {
-    GW_CHECK_MSG(config.dag_round >= 0 || config.scheduled(),
+    GW_CHECK_MSG(config.dag_round >= 0 || env != nullptr,
                  "node dead at job start outside a DAG round or scheduler");
     // The combine tiers assume full-mesh membership; a shrunken cluster
     // falls back to the plain shuffle path.
@@ -1199,39 +1199,24 @@ GlasswingRuntime::GlasswingRuntime(cluster::Platform& platform,
 
 JobResult GlasswingRuntime::run(const AppKernels& app, JobConfig config,
                                 dfs::FileSystem* fs_override) {
-  dfs::FileSystem& fs = fs_override != nullptr ? *fs_override : fs_;
-  JobExec ex(platform_, fs, map_devices_, reduce_devices_, app,
-             std::move(config), /*env=*/nullptr);
-  ex.setup();
+  std::optional<JobResult> result;
+  std::exception_ptr error;
   auto& sim = platform_.sim();
-  bool completed = false;
-  bool failed = false;
-  std::string failure;
-  sim.spawn([](sim::TaskGroup& group, bool* completed_out, bool* failed_out,
-               std::string* msg) -> sim::Task<> {
+  sim.spawn([](sim::Task<JobResult> job, std::optional<JobResult>* out,
+               std::exception_ptr* err) -> sim::Task<> {
     try {
-      co_await group.wait();
-    } catch (const std::exception& e) {
-      *failed_out = true;
-      *msg = e.what();
+      *out = co_await std::move(job);
+    } catch (...) {
+      *err = std::current_exception();
     }
-    *completed_out = true;
-  }(ex.all, &completed, &failed, &failure));
+  }(run_async(app, std::move(config), fs_override), &result, &error));
   sim.run();
-  // The event queue draining without the task group resolving means a node
+  if (error) std::rethrow_exception(error);
+  // The event queue draining without run_async returning means a node
   // coroutine is parked forever — a protocol deadlock, not a slow job.
-  GW_CHECK_MSG(completed, "job hung: event queue drained with nodes parked");
-  ex.finish_marks();
-  // Data in flight to a machine when it died vanishes with it: drop any
-  // stray inbox addressed to a crashed node (a round port it never got to
-  // open), then assert the fabric is otherwise clean.
-  for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
-  sim.run();  // drain anything the purge woke
-  ex.tp.clear_expected();
-  sim.remove_crash_listener(ex.listener_id);
-  if (failed) util::throw_error("job failed: " + failure);
-  platform_.fabric().check_quiesced();
-  return ex.finalize();
+  GW_CHECK_MSG(result.has_value(),
+               "job hung: event queue drained with nodes parked");
+  return std::move(*result);
 }
 
 sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
@@ -1251,29 +1236,20 @@ sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
     failure = e.what();
   }
   ex.finish_marks();
+  // Teardown covers only the job's own port namespace, so resident
+  // neighbours keep their traffic and expected-sender records. Data in
+  // flight to a machine when it died vanishes with it: inboxes addressed to
+  // a crashed node are dropped. The purge can wake a zombie receiver still
+  // parked on a dropped inbox; one zero-delay tick lets it unwind before
+  // this frame (the NodeRun state it touches) is destroyed.
   const int lo = ex.config.port_base;
   const int hi = lo + net::kPortJobStride;
-  // Scoped teardown: only this job's port namespace is purged and its
-  // expected-sender records cleared, so resident neighbours keep theirs.
-  // The purge can wake a zombie receiver still parked on a dropped inbox;
-  // one zero-delay tick lets it unwind before this frame (the NodeRun state
-  // it touches) is destroyed — the async stand-in for the synchronous
-  // path's post-purge sim.run().
-  if (lo > 0) {
-    for (int n : ex.shared.failed) platform_.fabric().purge_node(n, lo, hi);
-    ex.tp.clear_expected(lo, hi);
-  } else {
-    for (int n : ex.shared.failed) platform_.fabric().purge_node(n);
-    ex.tp.clear_expected();
-  }
+  for (int n : ex.shared.failed) platform_.fabric().purge_node(n, lo, hi);
+  ex.tp.clear_expected(lo, hi);
   co_await ex.sim.delay(0);
   ex.sim.remove_crash_listener(ex.listener_id);
   if (failed) util::throw_error("job failed: " + failure);
-  if (lo > 0) {
-    platform_.fabric().check_quiesced(lo, hi);
-  } else {
-    platform_.fabric().check_quiesced();
-  }
+  platform_.fabric().check_quiesced(lo, hi);
   JobResult result = ex.finalize();
   if (ex.preempt != nullptr && ex.preempt->requested && ex.incomplete()) {
     ex.capture_suspension(result);

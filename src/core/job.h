@@ -31,8 +31,9 @@ class MemoryGovernor;
 // resident job (run_async): per-node map/reduce slot gates so concurrent
 // jobs time-share each node's pipelines, and optionally per-node memory
 // governors shared across tenants (one budget per node, not per job).
-// Empty vectors mean ungated / per-job governors; a default-constructed
-// JobEnv (or none at all) reproduces the single-job data path exactly.
+// Empty vectors mean ungated / per-job governors. Only the scheduler passes
+// a JobEnv; its presence marks a shared-cluster job, which leaves the trace
+// to its neighbours (never clears it) and may start with nodes already dead.
 struct JobEnv {
   std::vector<sim::Resource*> map_slots;     // per node; empty = ungated
   std::vector<sim::Resource*> reduce_slots;  // per node; empty = ungated
@@ -71,17 +72,21 @@ class GlasswingRuntime {
   // `fs_override` replaces the bound filesystem for this job only; the DAG
   // runtime passes its PinnedFs overlay so rounds read and write through
   // the pinned intermediate store. Null = the constructor-bound fs.
+  //
+  // A driver of run_async(): it spawns the job, runs the event loop until it
+  // drains, and rethrows the job's failure. The job's elapsed time ends when
+  // its last node finishes; events after that (a later crash, its detection
+  // timer, DFS re-replication) still run but are not charged to it.
   JobResult run(const AppKernels& app, JobConfig config,
                 dfs::FileSystem* fs_override = nullptr);
 
-  // Coroutine form of run() for multi-tenant execution (core::Scheduler):
-  // N concurrent invocations share the platform's simulation, each confined
-  // to its own port namespace (config.port_base) and trace scope. Differences
-  // from run(): the caller drives the event loop (this never calls
-  // sim.run()), fault teardown and the quiesce assertion are scoped to the
-  // job's port range when port_base > 0, and `env` supplies the shared
-  // slot gates / governors. With a default config and no env the data path
-  // is the same as run()'s.
+  // The one job execution path, as a coroutine. N concurrent invocations
+  // (core::Scheduler) share the platform's simulation, each confined to its
+  // own port namespace (config.port_base) and trace scope; teardown and the
+  // quiesce assertion cover only that port range. The caller drives the
+  // event loop. `env` supplies the scheduler's shared slot gates and
+  // governors; null = a job alone on the cluster. The coroutine returns
+  // when the job's last node finishes, which ends its elapsed time.
   sim::Task<JobResult> run_async(AppKernels app, JobConfig config,
                                  dfs::FileSystem* fs_override = nullptr,
                                  const JobEnv* env = nullptr);

@@ -193,8 +193,8 @@ struct NodeContext {
   // --- multi-tenant slot gates (core::Scheduler) ---
   // Per-node counted slot pools shared by every resident job; node_main
   // acquires one around its map / reduce phase so concurrent jobs time-share
-  // the node instead of all running at once. Null = ungated (legacy
-  // single-job path: zero extra awaits, byte-identical event order).
+  // the node instead of all running at once. Null = ungated (a solo job:
+  // zero extra awaits).
   sim::Resource* map_slot = nullptr;
   sim::Resource* reduce_slot = nullptr;
   // Elastic mode: the slot pools above are per-job and scheduler-resized,
@@ -216,10 +216,9 @@ struct NodeContext {
     return preempt != nullptr && preempt->requested;
   }
 
-  // --- fault tolerance (§III-E); the defaults reproduce the failure-free
-  // data path exactly ---
+  // --- fault tolerance (§III-E) ---
   // Global partition -> owning node; reassigned away from crashed nodes.
-  // Null means the static g / partitions_per_node mapping.
+  // JobExec::setup points this and `failed_nodes` at the job's shared state.
   const std::vector<int>* partition_owner = nullptr;
   int shuffle_port = net::kPortShuffle;
   bool recovery = false;  // map pipeline re-executes lost splits this round
@@ -232,13 +231,11 @@ struct NodeContext {
   const std::set<int>* failed_nodes = nullptr;
 
   int owner_of(int g) const {
-    return partition_owner != nullptr ? (*partition_owner)[static_cast<std::size_t>(g)]
-                                      : g / config->partitions_per_node;
+    return (*partition_owner)[static_cast<std::size_t>(g)];
   }
 
   bool self_live() const {
-    return sim().node_alive(node_id) &&
-           (failed_nodes == nullptr || failed_nodes->count(node_id) == 0);
+    return sim().node_alive(node_id) && failed_nodes->count(node_id) == 0;
   }
 
   sim::Simulation& sim() const { return platform->sim(); }

@@ -347,9 +347,6 @@ sim::Task<void> Scheduler::run_job(int id) {
   }
 
   JobConfig cfg = req.config;
-  cfg.job_id = id;
-  cfg.tenant = req.tenant;
-  cfg.priority = req.priority;
   // Port windows are recycled through a free-list: peak residency bounds
   // the footprint, so arbitrarily many sequential jobs never walk off the
   // end of the port space. A window frees only after run_async's teardown

@@ -96,12 +96,13 @@ enum Port : int {
   kPortBroadcast = 5,     // DAG driver broadcast of per-round state
   kPortHadoopReplyBase = 1000,  // + reducer id for fetch replies
   kPortRecoveryBase = 2000,     // + recovery round for crash re-shuffle
-  // Per-job port namespacing for multi-tenant runs: a scheduled job with id
-  // j owns ports [kPortJobStride * (j + 1), kPortJobStride * (j + 2)) and
-  // addresses its private services at port_base + kPortShuffle etc. The
-  // legacy single-job path uses port_base = 0, so its ports are the bare
-  // enum values above and its event order is untouched. DFS traffic stays
-  // on the shared kPortDfs regardless of tenant.
+  // Per-job port namespacing: a job owns [port_base, port_base +
+  // kPortJobStride) and addresses its private services at port_base +
+  // kPortShuffle etc. A job alone on the cluster (and every round of a solo
+  // DAG) uses port_base = 0, so [0, kPortJobStride) holds every port it
+  // opens; the scheduler hands resident jobs windows at multiples of the
+  // stride above that. DFS traffic stays on the shared kPortDfs regardless
+  // of tenant.
   kPortJobStride = 10000,
 };
 
@@ -154,18 +155,12 @@ class Fabric {
   // neighbours keep ports open.
   std::size_t open_inboxes(int port_lo, int port_hi) const;
 
-  // End-of-run teardown for a crashed node: drops every inbox and
-  // close-before-open record addressed to it, discarding undelivered
-  // messages (data in flight to a dead machine vanishes with it). Returns
-  // the number of messages dropped. Only call after the event loop drained;
-  // any receiver the node ever ran must have terminated by then (crash
-  // compensation guarantees this for the job protocols).
-  std::size_t purge_node(int node);
-
-  // Port-scoped purge: drops only the node's inboxes and close-before-open
-  // records with port in [port_lo, port_hi). Multi-tenant teardown uses
-  // this so one job's crash cleanup cannot discard traffic another resident
-  // job still expects to deliver.
+  // End-of-job teardown for a crashed node: drops its inboxes and
+  // close-before-open records with port in [port_lo, port_hi), discarding
+  // undelivered messages (data in flight to a dead machine vanishes with
+  // it). Returns the number of messages dropped. Scoped to the finishing
+  // job's port range, so its crash cleanup cannot discard traffic another
+  // resident job still expects to deliver.
   std::size_t purge_node(int node, int port_lo, int port_hi);
 
   // Close-before-open records still outstanding. Entries are pruned when
@@ -174,15 +169,10 @@ class Fabric {
   // bug (see check_quiesced).
   std::size_t pre_closed_count() const { return pre_closed_.size(); }
 
-  // End-of-run invariant: no undelivered messages in any inbox and no
-  // stale close-before-open records. Runtimes call this once the event
-  // queue drained; aborts with a description on violation.
-  void check_quiesced() const;
-
-  // Job-scoped quiesce check: only inboxes and close-before-open records
-  // with port in [port_lo, port_hi) must have drained. A finishing tenant
-  // asserts its own namespace is clean; concurrent jobs' live ports (and
-  // the shared DFS port) are out of scope and never trip it.
+  // End-of-job invariant: no undelivered messages and no stale
+  // close-before-open records with port in [port_lo, port_hi). A finishing
+  // job asserts its own namespace is clean; concurrent jobs' live ports are
+  // out of scope and never trip it. Aborts with a description on violation.
   void check_quiesced(int port_lo, int port_hi) const;
 
   // Concurrent wire occupancies the core switch admits; 0 when the switch

@@ -7,10 +7,12 @@
 #include <cctype>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/wordcount.h"
 #include "apps/workload.h"
 #include "core/pipeline.h"
 #include "core/sched.h"
@@ -165,7 +167,7 @@ apps::WorkloadConfig small_workload(int jobs, double rate) {
 }
 
 // Solo baseline: the same workload's jobs executed one at a time through
-// the legacy single-job entry point, on a fresh identical cluster.
+// GlasswingRuntime::run, on a fresh identical cluster.
 std::vector<std::map<std::string, util::Bytes>> run_solo(
     const apps::WorkloadConfig& wl, int nodes) {
   Platform p = make_platform(nodes);
@@ -253,15 +255,66 @@ TEST(Sched, ConcurrentMixedJobsByteIdenticalToSoloAcrossThreadCounts) {
   util::ThreadPool::reset_global(0);
 }
 
+// One WordCount job (4 nodes, 4 MiB of seeded text, 256 KiB splits) on a
+// fresh cluster, run solo through GlasswingRuntime::run or as the only job
+// of a Scheduler. Returns the result and the output bytes.
+std::pair<JobResult, std::map<std::string, util::Bytes>> wc_4n_4m(
+    bool scheduled, double crash_s) {
+  Platform p = make_platform(4);
+  dfs::Dfs fs(p, dfs::DfsConfig{});
+  p.sim().spawn([](dfs::Dfs& f, util::Bytes d) -> sim::Task<> {
+    co_await f.write_distributed("/in/data", std::move(d));
+  }(fs, apps::generate_wiki_text(4 << 20, 42)));
+  p.sim().run();
+  JobConfig cfg;
+  cfg.input_paths = {"/in/data"};
+  cfg.output_path = "/out";
+  cfg.split_size = 256 << 10;
+  if (crash_s >= 0) cfg.crash_events.push_back({.node = 1, .time = crash_s});
+  GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
+  JobResult r;
+  if (scheduled) {
+    Scheduler sched(rt, p, fs, SchedulerConfig{});
+    JobRequest req;
+    req.name = "wc";
+    req.app = apps::wordcount().kernels;
+    req.config = std::move(cfg);
+    sched.submit(std::move(req));
+    sched.run_all();
+    EXPECT_EQ(sched.jobs_failed(), 0);
+    EXPECT_EQ(sched.resident_peak(), 1);
+    r = sched.results()[0].result;
+  } else {
+    r = rt.run(apps::wordcount().kernels, std::move(cfg));
+  }
+  auto out = output_bytes(p, fs, r);
+  return {std::move(r), std::move(out)};
+}
+
+// The scheduler drives the same run_async as GlasswingRuntime::run, so one
+// job alone gets the same output, the same simulated time bit for bit and
+// the same fault counters either way. A job's time ends when its last node
+// finishes: a crash in its tail (20 ms) or long after it (1 s) must not
+// charge the detection timer or DFS re-replication to the solo run alone.
 TEST(Sched, SingleJobThroughSchedulerMatchesSolo) {
-  const int kNodes = 8;
-  const apps::WorkloadConfig wl = small_workload(1, 1.0);
-  const auto solo = run_solo(wl, kNodes);
-  ASSERT_EQ(solo.size(), 1u);
-  SharedRun shared = run_shared(wl, kNodes, SchedPolicy::kFifo);
-  ASSERT_EQ(shared.outputs.size(), 1u);
-  EXPECT_EQ(shared.outputs[0], solo[0]);
-  EXPECT_EQ(shared.resident_peak, 1);
+  const struct {
+    const char* name;
+    double crash_s;  // node 1 dies this long after job start; < 0 = never
+  } kCases[] = {{"clean", -1}, {"crash-20ms", 0.020}, {"crash-1s", 1.0}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    const auto [solo, solo_out] = wc_4n_4m(/*scheduled=*/false, c.crash_s);
+    const auto [shared, shared_out] = wc_4n_4m(/*scheduled=*/true, c.crash_s);
+    EXPECT_FALSE(solo_out.empty());
+    EXPECT_EQ(shared_out, solo_out);
+    EXPECT_EQ(bits(shared.elapsed_seconds), bits(solo.elapsed_seconds))
+        << shared.elapsed_seconds << " vs " << solo.elapsed_seconds;
+    EXPECT_EQ(shared.stats.partitions_reassigned,
+              solo.stats.partitions_reassigned);
+    EXPECT_EQ(shared.stats.blocks_rereplicated,
+              solo.stats.blocks_rereplicated);
+    EXPECT_EQ(shared.stats.dfs_replicas_lost, solo.stats.dfs_replicas_lost);
+  }
 }
 
 // --- admission control ---
