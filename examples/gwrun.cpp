@@ -143,7 +143,8 @@ void usage() {
       "                     (times relative to that round's start)\n"
       "  --tenants=N        multi-tenant mode: N tenants submit a seeded\n"
       "                     mixed workload (wc/pvc/terasort) of --jobs jobs\n"
-      "                     to one shared cluster (core::Scheduler)\n"
+      "                     to one shared cluster (core::Scheduler); the\n"
+      "                     fault flags above are refused in this mode\n"
       "  --jobs=N           jobs in the multi-tenant workload (default 8)\n"
       "  --arrival-rate=R   offered load in jobs/s, Poisson arrivals\n"
       "                     (default 0.5)\n"
@@ -321,6 +322,15 @@ int main(int argc, char** argv) {
   if (flags.tenants > 0) {
     if (flags.runtime == "hadoop") {
       std::fprintf(stderr, "--tenants needs the glasswing runtime\n");
+      return 2;
+    }
+    // The mixed workload builds its own job configs: fault flags would be
+    // silently dropped, so they are refused instead.
+    if (!flags.crash_events.empty() || !flags.restarts.empty() ||
+        flags.speculate || flags.kill_round >= 0) {
+      std::fprintf(stderr,
+                   "--kill-node, --restart-node, --speculate and "
+                   "--kill-round are not supported with --tenants\n");
       return 2;
     }
     if (flags.sched != "fifo" && flags.sched != "fair" &&

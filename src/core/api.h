@@ -217,8 +217,10 @@ struct JobConfig {
   int fail_every_nth_reduce_task = 0;
 
   // --- node-crash fault injection (§III-E) ---
-  // Whole-node crash events on the simulated clock, relative to job start.
-  // A crashed node loses its intermediate store and unsent map output; the
+  // Whole-node crash events on the simulated clock, relative to job start
+  // (for a preempted job, to the start of its first residency: the events
+  // fire once per job, not once per residency). A crashed node loses its
+  // intermediate store and unsent map output; the
   // job re-executes its splits on survivors and reassigns its reduce
   // partitions. restart_time < 0 = no restart (a restarted node comes back
   // EMPTY and only serves as DFS placement target).

@@ -54,28 +54,6 @@ Run combine_runs(const std::vector<const Run*>& inputs,
   return rb.finish(compress);
 }
 
-util::Bytes encode_combined_frame(int g,
-                                  const std::vector<std::uint64_t>& tags,
-                                  const Run& run) {
-  util::ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(g));
-  w.put_u32(static_cast<std::uint32_t>(tags.size()));
-  for (std::uint64_t t : tags) w.put_u64(t);
-  run.serialize(w);
-  return w.take();
-}
-
-sim::Task<> send_combined_dropping(NodeContext ctx, int dst, int port,
-                                   net::TrafficClass tc, util::Bytes wire) {
-  try {
-    co_await ctx.platform->transport().send(ctx.node_id, dst, port, tc,
-                                            std::move(wire), 0);
-  } catch (const net::NodeDownError&) {
-    // A crash raced the send (either endpoint): drop it. If the data
-    // mattered, the recovery round re-sends its pre-combine provenance.
-  }
-}
-
 NodeCombiner::NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo)
     : ctx_(std::move(ctx)),
       tier_(tier),
@@ -197,7 +175,7 @@ void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
   }
   util::Bytes wire = encode_combined_frame(g, tags, run);
   if (dst != ctx_.node_id) metrics_.wire_bytes += wire.size();
-  sends_.spawn(send_combined_dropping(ctx_, dst, port, tc, std::move(wire)));
+  sends_.spawn(send_dropping(ctx_, dst, port, tc, std::move(wire), 0));
 }
 
 sim::Task<> NodeCombiner::drain() {

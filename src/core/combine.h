@@ -136,16 +136,4 @@ class NodeCombiner {
   CombineMetrics metrics_;
 };
 
-// Combined-run wire framing on kPortShuffle / kPortRackAgg when a combine
-// mode is active: u32 g | u32 ntags | ntags x u64 tags | serialized run.
-// (Recovery ports keep the legacy u32 g | run framing.)
-util::Bytes encode_combined_frame(int g,
-                                  const std::vector<std::uint64_t>& tags,
-                                  const Run& run);
-
-// Spawnable combined-frame send mirroring send_run_dropping: a crash racing
-// the transfer is swallowed, recovery replays the provenance.
-sim::Task<> send_combined_dropping(NodeContext ctx, int dst, int port,
-                                   net::TrafficClass tc, util::Bytes wire);
-
 }  // namespace gw::core

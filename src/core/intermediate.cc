@@ -13,8 +13,7 @@ IntermediateStore::IntermediateStore(cluster::Node& node, sim::Simulation& sim,
     : node_(node),
       sim_(sim),
       config_(config),
-      mem_(mem),
-      local_partitions_(config.partitions_per_node) {
+      mem_(mem) {
   work_ = std::make_unique<sim::Channel<int>>(sim_, 4096);
   drained_ = std::make_unique<sim::Event>(sim_);
   merge_name_ = sim_.tracer().intern("store.merge");

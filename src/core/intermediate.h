@@ -46,8 +46,6 @@ class IntermediateStore {
                     const JobConfig& config, MemoryGovernor* mem = nullptr);
   ~IntermediateStore();
 
-  int local_partitions() const { return local_partitions_; }
-
   // Adds a run to global partition `g`; called by the partitioner threads
   // (local data) and the shuffle receiver (remote data). May trigger cache
   // flushes. Ungoverned, this completes without suspending (merging is
@@ -142,7 +140,6 @@ class IntermediateStore {
   sim::Simulation& sim_;
   const JobConfig& config_;
   MemoryGovernor* mem_;  // null = ungoverned legacy mode
-  int local_partitions_;
   std::map<int, Part> parts_;  // global partition id -> state (ordered)
   std::uint64_t cache_bytes_total_ = 0;
   std::uint64_t dup_dropped_ = 0;

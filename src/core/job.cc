@@ -87,8 +87,8 @@ sim::Task<> shuffle_receiver(NodeContext ctx, int port, int expected,
     util::ByteReader r(msg->payload);
     const int g = static_cast<int>(r.get_u32());
     // With a combine mode active, everything on the MAIN shuffle port is
-    // combined-framed (u32 g | u32 ntags | tags | run) — recovery ports
-    // keep the legacy framing, replayed provenance stays uncombined.
+    // combined-framed (encode_combined_frame) — recovery ports keep
+    // encode_run_frame, replayed provenance stays uncombined.
     const bool combined =
         ctx.config->combine_mode != CombineMode::kOff &&
         port == ctx.config->port_base + net::kPortShuffle;
@@ -169,6 +169,42 @@ sim::Task<> broadcast_eos(NodeContext ctx, JobShared& shared, int port,
   }
 }
 
+// Replays this node's map-output ledger for `parts` (ascending partitions
+// present in the ledger): one amortized local-disk read of their stored
+// runs, then each run re-enters the local store if this node owns its
+// partition, or is framed and sent to the owner on ctx.shuffle_port under
+// its original dedup tag. Sends join `sends`; returns their wire bytes.
+sim::Task<std::uint64_t> replay_ledger(NodeContext ctx,
+                                       const MapOutputLedger& ledger,
+                                       std::vector<int> parts,
+                                       sim::TaskGroup& sends) {
+  std::uint64_t bytes = 0;
+  for (int g : parts) {
+    for (const auto& [tag, run] : ledger.runs.at(g)) bytes += run.stored_bytes();
+  }
+  if (ctx.self_live() && bytes > 0) {
+    co_await ctx.node->disk_stream_read(bytes,
+                                        cluster::Node::amortized_seek(bytes));
+  }
+  std::uint64_t wire_bytes = 0;
+  for (int g : parts) {
+    if (!ctx.self_live()) break;
+    const int dest = ctx.owner_of(g);
+    for (const auto& [tag, run] : ledger.runs.at(g)) {
+      if (dest == ctx.node_id) {
+        co_await ctx.store->add_run(g, run, tag);
+      } else {
+        util::Bytes wire = encode_run_frame(g, run);
+        wire_bytes += wire.size();
+        sends.spawn(send_dropping(ctx, dest, ctx.shuffle_port,
+                                  net::TrafficClass::kShuffle,
+                                  std::move(wire), tag));
+      }
+    }
+  }
+  co_return wire_bytes;
+}
+
 // Executes every recovery round this node has not handled yet (§III-E).
 // Round r (== the r-th crash) re-runs, on the survivors, the map work whose
 // durable output died with the crashed node, and re-feeds the partitions
@@ -235,36 +271,13 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     // Re-feed the reassigned partitions from the durable-output ledger: our
     // own past contributions for every partition moved this round, re-read
     // from local disk and re-sent to the new owner (no map re-execution).
-    std::uint64_t ledger_bytes = 0;
+    const std::vector<int>& moved = shared.reassigned[round];
     std::vector<int> resend;
-    for (int g : shared.reassigned[round]) {
-      auto it = state.ledger.runs.find(g);
-      if (it == state.ledger.runs.end()) continue;
-      for (const auto& [tag, run] : it->second) {
-        ledger_bytes += run.stored_bytes();
-      }
-      resend.push_back(g);
+    for (int g : moved) {
+      if (state.ledger.runs.count(g) > 0) resend.push_back(g);
     }
     sim::TaskGroup sends(sim);
-    if (ctx.self_live() && ledger_bytes > 0) {
-      co_await ctx.node->disk_stream_read(
-          ledger_bytes, cluster::Node::amortized_seek(ledger_bytes));
-    }
-    for (int g : resend) {
-      if (!ctx.self_live()) break;
-      const int dest = rctx.owner_of(g);
-      for (const auto& [tag, run] : state.ledger.runs[g]) {
-        if (dest == ctx.node_id) {
-          // We are the new owner: our old contributions re-enter locally.
-          co_await ctx.store->add_run(g, run, tag);
-        } else {
-          util::ByteWriter w;
-          w.put_u32(static_cast<std::uint32_t>(g));
-          run.serialize(w);
-          sends.spawn(send_run_dropping(rctx, dest, w.take(), tag));
-        }
-      }
-    }
+    co_await replay_ledger(rctx, state.ledger, resend, sends);
 
     // Rack mode: if this round's crash took our rack's aggregator, any of
     // our extra-rack contributions still staged in (or in flight to) it
@@ -279,31 +292,13 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
       const auto dead_it = shared.crashed_node.find(round);
       if (dead_it != shared.crashed_node.end() &&
           dead_it->second == topo.aggregator_of(my_rack)) {
-        const std::vector<int>& moved = shared.reassigned[round];
-        std::uint64_t agg_bytes = 0;
         std::vector<int> agg_resend;
         for (const auto& [g, entries] : state.ledger.runs) {
           if (topo.same_rack(rctx.owner_of(g), ctx.node_id)) continue;
           if (std::binary_search(moved.begin(), moved.end(), g)) continue;
-          for (const auto& [tag, run] : entries) {
-            agg_bytes += run.stored_bytes();
-          }
           agg_resend.push_back(g);
         }
-        if (ctx.self_live() && agg_bytes > 0) {
-          co_await ctx.node->disk_stream_read(
-              agg_bytes, cluster::Node::amortized_seek(agg_bytes));
-        }
-        for (int g : agg_resend) {
-          if (!ctx.self_live()) break;
-          const int dest = rctx.owner_of(g);
-          for (const auto& [tag, run] : state.ledger.runs[g]) {
-            util::ByteWriter w;
-            w.put_u32(static_cast<std::uint32_t>(g));
-            run.serialize(w);
-            sends.spawn(send_run_dropping(rctx, dest, w.take(), tag));
-          }
-        }
+        co_await replay_ledger(rctx, state.ledger, agg_resend, sends);
       }
     }
     co_await sends.wait();
@@ -313,41 +308,6 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     co_await ctx.store->drain();
     tr.end(state.phase_track, trace::Kind::kRecovery, rec_name, sim.now(),
            static_cast<std::uint64_t>(round));
-  }
-}
-
-// Resumed residency (checkpoint-based preemption): re-feed this node's
-// durable runs from the previous residency — read back from local disk and
-// re-sent under their original dedup tags — into the fresh stores, the same
-// ledger replay the recovery rounds use but over the main shuffle port, so
-// the merged store ends up holding the union of replayed and freshly-mapped
-// runs. Replayed runs are re-recorded into the new ledger so a second
-// suspension (or a crash) still has full provenance.
-sim::Task<> refeed_ledger(NodeContext ctx, MapMetrics& m,
-                          sim::TaskGroup& sends) {
-  const MapOutputLedger& led = *ctx.resume_ledger;
-  std::uint64_t bytes = 0;
-  for (const auto& [g, entries] : led.runs) {
-    for (const auto& [tag, run] : entries) bytes += run.stored_bytes();
-  }
-  if (bytes == 0 || !ctx.self_live()) co_return;
-  co_await ctx.node->disk_stream_read(bytes,
-                                      cluster::Node::amortized_seek(bytes));
-  for (const auto& [g, entries] : led.runs) {
-    if (!ctx.self_live()) break;
-    const int dest = ctx.owner_of(g);
-    for (const auto& [tag, run] : entries) {
-      if (ctx.ledger != nullptr) ctx.ledger->record(g, tag, run);
-      if (dest == ctx.node_id) {
-        co_await ctx.store->add_run(g, run, tag);
-      } else {
-        util::ByteWriter w;
-        w.put_u32(static_cast<std::uint32_t>(g));
-        run.serialize(w);
-        m.shuffle_bytes_remote += w.size();
-        sends.spawn(send_run_dropping(ctx, dest, w.take(), tag));
-      }
-    }
   }
 }
 
@@ -405,10 +365,19 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   }
 
   tr.begin(t, trace::Kind::kPhase, map_name, sim.now());
-  if (ctx.resume_ledger != nullptr) {
-    sim::TaskGroup refeed_sends(sim);
-    co_await refeed_ledger(ctx, state.map, refeed_sends);
-    co_await refeed_sends.wait();
+  if (!state.ledger.runs.empty()) {
+    // Resumed residency (checkpoint-based preemption): the ledger carried
+    // over from the suspended residency is replayed over the main shuffle
+    // port before fresh map work, so the merged stores end up holding the
+    // union of replayed and freshly mapped runs. Fresh runs append to the
+    // same ledger, which keeps full provenance for a crash or a second
+    // suspension.
+    std::vector<int> parts;
+    for (const auto& [g, entries] : state.ledger.runs) parts.push_back(g);
+    sim::TaskGroup sends(sim);
+    state.map.shuffle_bytes_remote +=
+        co_await replay_ledger(ctx, state.ledger, parts, sends);
+    co_await sends.wait();
   }
   ctx.combiner = state.combiner.get();
   co_await run_map_phase(ctx, scheduler, state.map);
@@ -859,10 +828,14 @@ void JobExec::setup() {
     shared.park = std::make_unique<sim::Event>(sim);
     old_park->set();  // waiters already rescheduled; safe to destroy
   });
-  for (const auto& e : config.crash_events) {
-    GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
-                 "crash event names an unknown node");
-    sim.schedule_node_crash(e.node, e.time, e.restart_time);
+  // Crash events fire once per job, timed from its first residency: a
+  // resumed residency does not schedule them again.
+  if (!resuming) {
+    for (const auto& e : config.crash_events) {
+      GW_CHECK_MSG(e.node >= 0 && e.node < num_nodes,
+                   "crash event names an unknown node");
+      sim.schedule_node_crash(e.node, e.time, e.restart_time);
+    }
   }
 
   // Job-wide span: the root every recovery event must nest inside. DAG
@@ -930,9 +903,10 @@ void JobExec::setup() {
     ctx.elastic_slots = env != nullptr && env->elastic;
     ctx.preempt = preempt;
     if (resuming &&
-        static_cast<std::size_t>(n) < preempt->state.ledgers.size() &&
-        !preempt->state.ledgers[static_cast<std::size_t>(n)].runs.empty()) {
-      ctx.resume_ledger = &preempt->state.ledgers[static_cast<std::size_t>(n)];
+        static_cast<std::size_t>(n) < preempt->state.ledgers.size()) {
+      // node_main replays the carried-over ledger before fresh map work.
+      state.ledger =
+          std::move(preempt->state.ledgers[static_cast<std::size_t>(n)]);
     }
     if (config.combine_mode != CombineMode::kOff) {
       RackTopology topo;  // rack_size 0 = route straight to the owner
@@ -1131,11 +1105,13 @@ void JobExec::capture_suspension(JobResult& result) {
   for (const auto& [idx, node] : scheduler->committed_splits()) {
     rs.committed_splits[idx] = node;
   }
-  // Each node's new ledger holds replayed history plus fresh runs; moving
-  // it out makes the checkpoint cumulative across any number of
-  // suspensions.
+  // Each node's ledger holds the carried-over history plus fresh runs;
+  // moving it out makes the checkpoint cumulative across any number of
+  // suspensions. A node that crashed lost its disk (a restart comes back
+  // empty), so its ledger is dropped, not replayed.
   rs.ledgers.assign(static_cast<std::size_t>(num_nodes), MapOutputLedger());
   for (int n = 0; n < num_nodes; ++n) {
+    if (shared.failed.count(n) > 0) continue;
     rs.ledgers[static_cast<std::size_t>(n)] =
         std::move(nodes[static_cast<std::size_t>(n)].ledger);
   }

@@ -476,15 +476,15 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
                                    std::vector<std::uint64_t>(1, tag),
                                    std::move(run));
       } else {
-        util::ByteWriter w;
-        w.put_u32(g);
-        run.serialize(w);
-        m.shuffle_bytes_remote += w.size();
-        st.instant(trace::Kind::kShuffle, shuffle_name, w.size());
+        util::Bytes wire = encode_run_frame(static_cast<int>(g), run);
+        m.shuffle_bytes_remote += wire.size();
+        st.instant(trace::Kind::kShuffle, shuffle_name, wire.size());
         // Push shuffle rides the transport: with flow control enabled the
         // spawned send blocks on the stream's credit window, bounding the
         // bytes in flight toward any one receiver.
-        sends.spawn(send_run_dropping(ctx, dest, w.take(), tag));
+        sends.spawn(send_dropping(ctx, dest, ctx.shuffle_port,
+                                  net::TrafficClass::kShuffle,
+                                  std::move(wire), tag));
       }
     }
     for (std::uint32_t g : live) buckets[g].clear();

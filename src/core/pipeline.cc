@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "simnet/transport.h"
 #include "util/error.h"
 
 namespace gw::core {
@@ -14,13 +13,6 @@ SplitScheduler::SplitScheduler(std::vector<InputSplit> splits)
       remaining_(splits_.size()) {}
 
 std::optional<InputSplit> SplitScheduler::next_for(int node) {
-  if (!requeued_.empty()) {
-    InputSplit s = std::move(requeued_.back());
-    requeued_.pop_back();
-    --remaining_;
-    if (s.index >= 0) state_[static_cast<std::size_t>(s.index)].runner = node;
-    return s;
-  }
   if (remaining_ == 0) return std::nullopt;
   // First pass: a split with a local block.
   for (std::size_t i = 0; i < splits_.size(); ++i) {
@@ -45,13 +37,6 @@ std::optional<InputSplit> SplitScheduler::next_for(int node) {
     }
   }
   return std::nullopt;
-}
-
-void SplitScheduler::requeue(InputSplit split) {
-  split.attempt++;
-  ++retries_;
-  ++remaining_;
-  requeued_.push_back(std::move(split));
 }
 
 bool SplitScheduler::commit(int index, int node) {
@@ -132,7 +117,6 @@ std::optional<InputSplit> SplitScheduler::next_speculative(int node) {
     if (!taken_[i] || ts.committed_by >= 0 || ts.clone >= 0) continue;
     if (ts.runner < 0 || ts.runner == node) continue;
     ts.clone = node;
-    ++clones_;
     InputSplit s = splits_[i];
     s.attempt = ++ts.attempts;
     return s;
@@ -140,11 +124,29 @@ std::optional<InputSplit> SplitScheduler::next_speculative(int node) {
   return std::nullopt;
 }
 
-sim::Task<> send_run_dropping(NodeContext ctx, int dst, util::Bytes wire,
-                              std::uint64_t tag) {
+util::Bytes encode_run_frame(int g, const Run& run) {
+  util::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(g));
+  run.serialize(w);
+  return w.take();
+}
+
+util::Bytes encode_combined_frame(int g,
+                                  const std::vector<std::uint64_t>& tags,
+                                  const Run& run) {
+  util::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(g));
+  w.put_u32(static_cast<std::uint32_t>(tags.size()));
+  for (std::uint64_t t : tags) w.put_u64(t);
+  run.serialize(w);
+  return w.take();
+}
+
+sim::Task<> send_dropping(NodeContext ctx, int dst, int port,
+                          net::TrafficClass tc, util::Bytes wire,
+                          std::uint64_t tag) {
   try {
-    co_await ctx.platform->transport().send(ctx.node_id, dst, ctx.shuffle_port,
-                                            net::TrafficClass::kShuffle,
+    co_await ctx.platform->transport().send(ctx.node_id, dst, port, tc,
                                             std::move(wire), tag);
   } catch (const net::NodeDownError&) {
     // A crash raced the send (either endpoint): drop it. If the data

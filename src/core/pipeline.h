@@ -26,6 +26,7 @@
 #include "gwcl/device.h"
 #include "gwdfs/fs.h"
 #include "simnet/fabric.h"
+#include "simnet/transport.h"
 
 namespace gw::core {
 
@@ -57,12 +58,7 @@ class SplitScheduler {
 
   std::optional<InputSplit> next_for(int node);
 
-  // Task re-execution (§III-E): a failed task's input is rescheduled. The
-  // requeued split is handed out (to any node) before fresh splits.
-  void requeue(InputSplit split);
-
   std::size_t remaining() const { return remaining_; }
-  std::uint64_t retries() const { return retries_; }
   std::uint64_t local_grabs() const { return local_grabs_; }
   std::uint64_t remote_grabs() const { return remote_grabs_; }
 
@@ -84,7 +80,6 @@ class SplitScheduler {
   // next_for is exhausted (the caller's idle condition).
   std::optional<InputSplit> next_speculative(int node);
   std::uint64_t reexecutions() const { return reexecutions_; }
-  std::uint64_t speculative_clones() const { return clones_; }
   std::uint64_t speculative_wins() const { return spec_wins_; }
   std::uint64_t speculative_losses() const { return spec_losses_; }
 
@@ -114,15 +109,12 @@ class SplitScheduler {
 
   std::vector<InputSplit> splits_;
   std::vector<bool> taken_;
-  std::vector<InputSplit> requeued_;
   std::vector<TaskState> state_;
   std::vector<int> lost_;  // split indices awaiting re-execution (sorted)
   std::size_t remaining_ = 0;
-  std::uint64_t retries_ = 0;
   std::uint64_t local_grabs_ = 0;
   std::uint64_t remote_grabs_ = 0;
   std::uint64_t reexecutions_ = 0;
-  std::uint64_t clones_ = 0;
   std::uint64_t spec_wins_ = 0;
   std::uint64_t spec_losses_ = 0;
 };
@@ -144,13 +136,15 @@ struct MapOutputLedger {
 
 // Durable remainder of a suspended (preempted) job, captured at suspension
 // and replayed by the next residency. Nothing here is a new persistence
-// format: the ledgers are the PR-5 MapOutputLedger (host-side provenance of
-// runs whose bytes live on each node's local disk), committed splits are
-// stable job-wide split indices (make_splits is deterministic), and reduced
+// format: the ledgers are each node's MapOutputLedger (host-side provenance
+// of runs whose bytes live on its local disk), committed splits are stable
+// job-wide split indices (make_splits is deterministic), and reduced
 // partitions are implied by their committed output files on the DFS.
 struct ResumeState {
   std::map<int, int> committed_splits;    // split index -> node that holds it
-  std::vector<MapOutputLedger> ledgers;   // per node; re-fed on resume
+  // Per node; moved into the next residency, which replays it. Empty for
+  // a node that crashed (its disk died with it).
+  std::vector<MapOutputLedger> ledgers;
   std::vector<std::string> output_files;  // partitions reduced pre-suspension
   JobStats stats;                         // counters accumulated pre-suspension
   double elapsed_s = 0;                   // residency time before suspension
@@ -207,10 +201,6 @@ struct NodeContext {
   // dispensing fresh splits and the reduce loop stops at the next partition
   // boundary once `preempt->requested` is set.
   const PreemptControl* preempt = nullptr;
-  // Non-null on a resumed residency: this node's durable runs from the
-  // previous residency, re-fed into the (fresh) stores before fresh map
-  // work completes, exactly like a PR-5 recovery-round ledger replay.
-  const MapOutputLedger* resume_ledger = nullptr;
 
   bool preempt_requested() const {
     return preempt != nullptr && preempt->requested;
@@ -241,11 +231,23 @@ struct NodeContext {
   sim::Simulation& sim() const { return platform->sim(); }
 };
 
-// Spawnable shuffle send that tolerates a node crash racing the transfer:
-// a NodeDownError is swallowed — recovery regenerates the data. The wire
-// payload is the u32 global partition id followed by the serialized run.
-sim::Task<> send_run_dropping(NodeContext ctx, int dst, util::Bytes wire,
-                              std::uint64_t tag);
+// Push-shuffle wire framing of one uncombined run: the u32 global
+// partition id, then the serialized run.
+util::Bytes encode_run_frame(int g, const Run& run);
+
+// Combined-run wire framing on kPortShuffle / kPortRackAgg when a combine
+// mode is active: u32 g | u32 ntags | ntags x u64 tags | serialized run.
+// (Recovery ports keep encode_run_frame.)
+util::Bytes encode_combined_frame(int g,
+                                  const std::vector<std::uint64_t>& tags,
+                                  const Run& run);
+
+// Spawnable send that tolerates a node crash racing the transfer: a
+// NodeDownError (either endpoint) is swallowed — recovery regenerates the
+// data or re-sends it from the map-output ledger.
+sim::Task<> send_dropping(NodeContext ctx, int dst, int port,
+                          net::TrafficClass tc, util::Bytes wire,
+                          std::uint64_t tag);
 
 // Counters only; stage busy times and phase boundaries live in the trace
 // (sim.tracer()), reduced via trace::Tracer::occupancy.

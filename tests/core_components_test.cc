@@ -302,60 +302,6 @@ TEST(SplitScheduler, LocalAndRemoteGrabCountsPartitionTheTotal) {
   // node with no local blocks never inflates the locality counters.
   EXPECT_FALSE(sched.next_for(3).has_value());
   EXPECT_EQ(sched.local_grabs() + sched.remote_grabs(), 12u);
-  EXPECT_EQ(sched.retries(), 0u);
-}
-
-TEST(SplitScheduler, RequeuedSplitServedBeforeFreshSplits) {
-  std::vector<InputSplit> splits;
-  for (int i = 0; i < 4; ++i) {
-    InputSplit s("/f", i * 100, 100);
-    s.locations = {0};
-    s.index = i;
-    splits.push_back(s);
-  }
-  SplitScheduler sched(std::move(splits));
-  auto first = sched.next_for(0);
-  ASSERT_TRUE(first);
-  EXPECT_EQ(first->attempt, 0);
-  EXPECT_EQ(sched.remaining(), 3u);
-
-  // A failed task's input goes back in and must be handed out (to ANY
-  // node) ahead of splits never attempted — §III-E re-execution.
-  sched.requeue(*first);
-  EXPECT_EQ(sched.remaining(), 4u);
-  EXPECT_EQ(sched.retries(), 1u);
-  auto retry = sched.next_for(3);
-  ASSERT_TRUE(retry);
-  EXPECT_EQ(retry->index, first->index);
-  EXPECT_EQ(retry->attempt, 1);
-}
-
-TEST(SplitScheduler, RequeueAfterExhaustionReopensTheScheduler) {
-  std::vector<InputSplit> splits;
-  for (int i = 0; i < 3; ++i) {
-    InputSplit s("/f", i * 100, 100);
-    s.locations = {0};
-    s.index = i;
-    splits.push_back(s);
-  }
-  SplitScheduler sched(std::move(splits));
-  std::vector<InputSplit> got;
-  while (auto s = sched.next_for(0)) got.push_back(*s);
-  EXPECT_EQ(got.size(), 3u);
-  EXPECT_EQ(sched.remaining(), 0u);
-  EXPECT_FALSE(sched.next_for(0).has_value());
-
-  sched.requeue(got[1]);
-  sched.requeue(got[2]);
-  EXPECT_EQ(sched.remaining(), 2u);
-  auto a = sched.next_for(1);
-  auto b = sched.next_for(1);
-  ASSERT_TRUE(a && b);
-  EXPECT_EQ(a->attempt, 1);
-  EXPECT_EQ(b->attempt, 1);
-  EXPECT_EQ(sched.remaining(), 0u);
-  EXPECT_FALSE(sched.next_for(1).has_value());
-  EXPECT_EQ(sched.retries(), 2u);
 }
 
 TEST(SplitScheduler, MakeSplitsCoversFilesExactly) {

@@ -2,8 +2,9 @@
 // reduce must leave the job output byte-identical to a failure-free run,
 // with deterministic recovery statistics that do not depend on the host
 // thread count (GW_THREADS). Also covers task-level injection (map retry
-// with the combiner enabled, reduce retry), node restart, straggler
-// speculation, and the Hadoop baseline's rejection of fault configs.
+// with the combiner enabled, reduce retry on the reduce-function and the
+// merge-only paths), node restart, straggler speculation, and the Hadoop
+// baseline's rejection of fault configs.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/terasort.h"
 #include "apps/wordcount.h"
 #include "baselines/hadoop/hadoop.h"
 #include "core/job.h"
@@ -73,11 +75,22 @@ struct RunOutcome {
   double job_first = 0, job_last = 0;        // job span extent (node 0)
 };
 
+// Stages `input` at /in and runs `app` over it. `sampled` installs a range
+// partitioner sampled from the staged input first (TeraSort).
 template <typename Tweak>
-RunOutcome run_wc(const util::Bytes& text, Tweak tweak) {
+RunOutcome run_job(core::AppKernels app, const util::Bytes& input,
+                   bool sampled, Tweak tweak) {
   Platform p = make_platform();
   dfs::Dfs fs(p, dfs::DfsConfig{});
-  stage(p, fs, "/in", text);
+  stage(p, fs, "/in", input);
+  if (sampled) {
+    p.sim().spawn([](dfs::Dfs& f, core::PartitionFn* out) -> sim::Task<> {
+      std::vector<std::string> paths = {"/in"};
+      *out = co_await apps::sample_range_partitioner(f, 0, std::move(paths),
+                                                     1000);
+    }(fs, &app.partition));
+    p.sim().run();
+  }
   core::JobConfig cfg;
   cfg.input_paths = {"/in"};
   cfg.output_path = "/out";
@@ -85,7 +98,7 @@ RunOutcome run_wc(const util::Bytes& text, Tweak tweak) {
   tweak(cfg);
   core::GlasswingRuntime rt(p, fs, cl::DeviceSpec::cpu_dual_e5620());
   RunOutcome out;
-  out.result = rt.run(apps::wordcount().kernels, cfg);
+  out.result = rt.run(app, cfg);
   const auto& tr = p.sim().tracer();
   out.trace_error = tr.validate();
   const auto job = tr.occupancy(0, "job");
@@ -106,6 +119,11 @@ RunOutcome run_wc(const util::Bytes& text, Tweak tweak) {
     out.files[path] = std::move(contents);
   }
   return out;
+}
+
+template <typename Tweak>
+RunOutcome run_wc(const util::Bytes& text, Tweak tweak) {
+  return run_job(apps::wordcount().kernels, text, /*sampled=*/false, tweak);
 }
 
 RunOutcome run_wc(const util::Bytes& text) {
@@ -268,6 +286,25 @@ TEST(TaskInjection, ReduceRetryIsByteIdentical) {
   // 4 nodes x 8 partitions/node = 32 partitions, every 2nd fails once.
   EXPECT_EQ(inj.result.stats.reduce_task_retries, 16u);
   EXPECT_EQ(clean.result.stats.reduce_task_retries, 0u);
+}
+
+TEST(TaskInjection, MergeOnlyReduceRetryIsByteIdentical) {
+  // TeraSort has no reduce function: its partitions take the merge-only
+  // path, whose injected failure re-charges the merge but rewrites nothing.
+  const util::Bytes input = apps::generate_terasort(20000, 9);
+  const auto run = [&](int every) {
+    return run_job(apps::terasort().kernels, input, /*sampled=*/true,
+                   [every](core::JobConfig& cfg) {
+                     cfg.fail_every_nth_reduce_task = every;
+                   });
+  };
+  const RunOutcome clean = run(0);
+  const RunOutcome inj = run(2);
+  EXPECT_EQ(clean.files.size(), 32u);
+  EXPECT_EQ(inj.files, clean.files);
+  EXPECT_EQ(inj.result.stats.reduce_task_retries, 16u);
+  EXPECT_EQ(clean.result.stats.reduce_task_retries, 0u);
+  EXPECT_GT(inj.result.elapsed_seconds, clean.result.elapsed_seconds);
 }
 
 // ---- baseline guard ----

@@ -504,10 +504,12 @@ INSTANTIATE_TEST_SUITE_P(Policies, SchedCrash,
 
 struct PreemptOutcome {
   std::map<std::string, util::Bytes> victim_output;
+  JobStats victim_stats;
   int preemptions = 0;
   int resumes = 0;
   int sched_preempts = 0;
   int sched_resumes = 0;
+  int crashes = 0;  // node deaths seen by a crash listener
   double makespan = 0;
 };
 
@@ -531,8 +533,15 @@ std::pair<std::map<std::string, util::Bytes>, double> run_victim_solo(
 // A class-1 victim starts alone under a preempting priority scheduler; a
 // class-0 job arrives at `urgent_arrival_s` and displaces it. Returns the
 // victim's final (post-resume) output and the preempt/resume counters.
-PreemptOutcome run_preempted(std::size_t lines, double urgent_arrival_s) {
+// `crashes` are the victim's crash events.
+PreemptOutcome run_preempted(
+    std::size_t lines, double urgent_arrival_s,
+    std::vector<JobConfig::CrashEvent> crashes = {}) {
   Platform p = make_platform(4);
+  PreemptOutcome out;
+  p.sim().add_crash_listener([&out](int, bool alive) {
+    if (!alive) ++out.crashes;
+  });
   dfs::Dfs fs(p, dfs::DfsConfig{});
   write_file(p, fs, "/in/big", make_text(lines, 21));
   write_file(p, fs, "/in/small", make_text(80, 22));
@@ -549,6 +558,7 @@ PreemptOutcome run_preempted(std::size_t lines, double urgent_arrival_s) {
   victim.config.input_paths = {"/in/big"};
   victim.config.output_path = "/out/victim";
   victim.config.split_size = 32 << 10;
+  victim.config.crash_events = std::move(crashes);
   const int vid = sched.submit(std::move(victim));
   JobRequest urgent;
   urgent.name = "urgent";
@@ -561,7 +571,6 @@ PreemptOutcome run_preempted(std::size_t lines, double urgent_arrival_s) {
   sched.submit(std::move(urgent));
   const double t0 = p.sim().now();
   sched.run_all();
-  PreemptOutcome out;
   out.makespan = p.sim().now() - t0;
   EXPECT_EQ(sched.jobs_failed(), 0);
   EXPECT_EQ(sched.jobs_rejected(), 0);
@@ -571,6 +580,7 @@ PreemptOutcome run_preempted(std::size_t lines, double urgent_arrival_s) {
   out.sched_preempts = sched.jobs_preempted();
   out.sched_resumes = sched.jobs_resumed();
   out.victim_output = output_bytes(p, fs, v.result);
+  out.victim_stats = v.result.stats;
   return out;
 }
 
@@ -610,6 +620,31 @@ TEST(SchedPreempt, DisplacedJobByteIdenticalAcrossPhasesAndThreadCounts) {
         EXPECT_EQ(bits(o.makespan), bits(base.makespan));
       }
     }
+  }
+  util::ThreadPool::reset_global(0);
+}
+
+// A preempted job's crash events are timed from its first residency and
+// fire once: the resumed residency neither schedules them again nor
+// replays the ledger of the node that crashed (it came back with empty
+// disks).
+TEST(SchedPreempt, CrashEventsFireOncePerJob) {
+  const std::size_t kLines = 3000;
+  const auto [solo, solo_elapsed] = run_victim_solo(kLines);
+  ASSERT_FALSE(solo.empty());
+  const std::vector<JobConfig::CrashEvent> crash = {
+      JobConfig::CrashEvent{1, 0.05 * solo_elapsed, 0.1 * solo_elapsed}};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    util::ThreadPool::reset_global(threads);
+    SCOPED_TRACE("GW_THREADS=" + std::to_string(threads));
+    const PreemptOutcome o = run_preempted(kLines, 0.4 * solo_elapsed, crash);
+    EXPECT_EQ(o.preemptions, 1);
+    EXPECT_EQ(o.resumes, 1);
+    EXPECT_EQ(o.crashes, 1);
+    EXPECT_EQ(o.victim_stats.recovery_rounds, 1u);
+    EXPECT_EQ(o.victim_stats.partitions_reassigned, 8u);
+    EXPECT_EQ(o.victim_stats.duplicate_runs_dropped, 24u);
+    EXPECT_EQ(o.victim_output, solo);
   }
   util::ThreadPool::reset_global(0);
 }
