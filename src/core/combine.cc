@@ -80,7 +80,6 @@ sim::Task<> NodeCombiner::add(int g, std::vector<std::uint64_t> tags,
       // the run through uncombined rather than block — blocking here could
       // deadlock the map phase against a rack aggregator that is waiting
       // for this very node's end-of-stream.
-      ++metrics_.passthrough;
       route(g, std::move(tags), std::move(run));
       co_return;
     }
@@ -123,7 +122,6 @@ sim::Task<> NodeCombiner::flush(int g) {
     in_raw += r.raw_bytes;
   }
   metrics_.in_bytes += in_stored;
-  ++metrics_.flushes;
 
   auto& sim = ctx_.sim();
   auto& tr = sim.tracer();
@@ -174,7 +172,9 @@ void NodeCombiner::route(int g, std::vector<std::uint64_t> tags, Run run) {
     }
   }
   util::Bytes wire = encode_combined_frame(g, tags, run);
-  if (dst != ctx_.node_id) metrics_.wire_bytes += wire.size();
+  if (tier_ == Tier::kMap && dst != ctx_.node_id) {
+    ctx_.stats->shuffle_bytes_remote += wire.size();
+  }
   sends_.spawn(send_dropping(ctx_, dst, port, tc, std::move(wire), 0));
 }
 

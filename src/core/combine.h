@@ -65,14 +65,37 @@ struct RackTopology {
     const int hi = std::min(num_nodes, lo + rack_size);
     return hi - lo;
   }
+  std::vector<int> members(int rack) const {  // ascending, aggregator first
+    std::vector<int> out;
+    for (int i = 0; i < members_of(rack); ++i) {
+      out.push_back(aggregator_of(rack) + i);
+    }
+    return out;
+  }
+  // Main shuffle-port senders to node n in rack mode: its own rack's
+  // members plus one aggregator per other rack (each forwards its rack's
+  // consolidated stream).
+  std::vector<int> shuffle_senders(int n) const {
+    std::vector<int> out = members(rack_of(n));
+    for (int r = 0; r < num_racks(); ++r) {
+      if (r != rack_of(n)) out.push_back(aggregator_of(r));
+    }
+    return out;
+  }
+  std::vector<int> outside_rack(int n) const {  // ascending
+    std::vector<int> out;
+    for (int m = 0; m < num_nodes; ++m) {
+      if (!same_rack(m, n)) out.push_back(m);
+    }
+    return out;
+  }
 };
 
+// Per-combiner volumes, read once per node for the job's combine totals and
+// its combine.in/combine.out trace marks.
 struct CombineMetrics {
-  std::uint64_t in_bytes = 0;      // stored bytes entering combine passes
-  std::uint64_t out_bytes = 0;     // stored bytes leaving combine passes
-  std::uint64_t flushes = 0;       // combine passes executed
-  std::uint64_t passthrough = 0;   // runs forwarded uncombined (over budget)
-  std::uint64_t wire_bytes = 0;    // framed bytes handed to the transport
+  std::uint64_t in_bytes = 0;   // stored bytes entering combine passes
+  std::uint64_t out_bytes = 0;  // stored bytes leaving combine passes
 };
 
 // One combining stage: buffers runs per global partition, merge-combines
@@ -89,7 +112,8 @@ class NodeCombiner {
   // `topo.rack_size == 0` (node mode) routes everything straight to the
   // owner. Governed (`ctx.mem` non-null) staging draws from the governor's
   // combine pool; ungoverned staging flushes past
-  // JobConfig::combine_buffer_bytes.
+  // JobConfig::combine_buffer_bytes. The map tier owns its node's remote
+  // sends, so it adds their framed bytes to ctx.stats->shuffle_bytes_remote.
   NodeCombiner(NodeContext ctx, Tier tier, RackTopology topo);
 
   // Buffers one run for global partition g, tagged with the union of its

@@ -27,19 +27,35 @@ struct JobShared {
   std::vector<int> owner;  // global partition -> owning node
   int crash_epoch = 0;     // bumped once per node death
   std::set<int> failed;    // nodes that ever crashed (restarts stay out)
-  // Per recovery round (== crash epoch that created it):
-  std::map<int, std::vector<int>> round_participants;  // job-live at creation
-  std::map<int, std::vector<int>> reassigned;          // partitions moved
-  // EOS frames initiated on a round's port, recorded synchronously at
-  // initiation. A node entering a round late uses this to count frames
-  // already on the wire from senders that have died since (a real frame and
-  // a compensated one for the same sender would otherwise double-deliver).
-  std::map<int, std::set<std::pair<int, int>>> eos_sent;  // round -> (src,dst)
-  // Which node's death created each round (rack-mode recovery needs to know
-  // whether a rack lost its aggregator).
-  std::map<int, int> crashed_node;
-  std::set<int> rounds_entered;
-  std::uint64_t partitions_reassigned = 0;
+
+  // One recovery round per crash, keyed by the crash epoch that created it.
+  struct Round {
+    int crashed_node = -1;          // rack mode: was it an aggregator?
+    std::vector<int> participants;  // job-live when the crash happened
+    std::vector<int> reassigned;    // partitions moved off the dead node
+    // EOS frames initiated on the round's port, recorded synchronously at
+    // initiation. A node entering the round late uses this to count frames
+    // already on the wire from senders that have died since (a real frame
+    // and a compensated one for the same sender would otherwise
+    // double-deliver).
+    std::set<std::pair<int, int>> eos_sent;  // (src, dst)
+    bool entered = false;  // some node has started executing it
+  };
+  std::map<int, Round> rounds;  // node-stable: entries are held across awaits
+
+  // Who streams to whom on the main shuffle port. Flat (topo.rack_size 0):
+  // every node alive at job start streams to every other one. Rack mode: a
+  // node hears from its own rack's members plus one aggregator per other
+  // rack, and closes only its own rack's streams itself (its aggregator
+  // closes the forwarded ones).
+  RackTopology topo;
+  std::vector<int> start_live;  // nodes alive at job start, ascending
+  std::vector<int> shuffle_senders(int dst) const {
+    return topo.rack_size > 0 ? topo.shuffle_senders(dst) : start_live;
+  }
+  std::vector<int> shuffle_destinations(int src) const {
+    return topo.rack_size > 0 ? topo.members(topo.rack_of(src)) : start_live;
+  }
 
   // Completion barrier: a finished node parks instead of exiting, because a
   // later crash (e.g. during another node's reduce) can hand it new work.
@@ -61,8 +77,6 @@ struct JobShared {
 struct NodeRun {
   std::unique_ptr<MemoryGovernor> governor;  // null = ungoverned
   std::unique_ptr<IntermediateStore> store;
-  MapMetrics map;
-  ReduceMetrics reduce;
   std::unique_ptr<sim::Event> shuffle_done;
   trace::TrackRef phase_track;
   // Hierarchical combining (combine_mode != kOff): the map-tier combiner,
@@ -125,7 +139,8 @@ sim::Task<> broadcast_eos(NodeContext ctx, JobShared& shared, int port,
 // extra-rack node when done (members' streams were closed by their own
 // member EOS; a dead aggregator's closures are crash-compensated instead).
 sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
-                            NodeCombiner& agg, RackTopology topo) {
+                            NodeCombiner& agg) {
+  const RackTopology& topo = shared.topo;
   net::Transport::Receiver rx = ctx.platform->transport().receiver(
       ctx.node_id, ctx.config->port_base + net::kPortRackAgg,
       topo.members_of(topo.rack_of(ctx.node_id)));
@@ -144,19 +159,15 @@ sim::Task<> rack_aggregator(NodeContext ctx, JobShared& shared,
   } else {
     agg.discard();  // a dead aggregator's staged data died with it
   }
-  std::vector<int> extra;
-  for (int n = 0; n < ctx.num_nodes; ++n) {
-    if (!topo.same_rack(n, ctx.node_id)) extra.push_back(n);
-  }
   co_await broadcast_eos(ctx, shared,
-                         ctx.config->port_base + net::kPortShuffle, extra,
-                         nullptr);
+                         ctx.config->port_base + net::kPortShuffle,
+                         topo.outside_rack(ctx.node_id), nullptr);
 }
 
 // EOS broadcast with crash guards. Dead destinations are skipped (crash
 // compensation stands in for their frames) and a sender that died stops
 // initiating; `sent` (round ports) records each initiation for late round
-// entrants. With every node alive this performs exactly the legacy awaits.
+// entrants. With every node alive it awaits one finish per destination.
 sim::Task<> broadcast_eos(NodeContext ctx, JobShared& shared, int port,
                           std::vector<int> dsts,
                           std::set<std::pair<int, int>>* sent) {
@@ -225,10 +236,14 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     const int round = ++state.handled_epoch;
     GW_CHECK_MSG(round <= cfg.max_recovery_rounds,
                  "recovery exceeded max_recovery_rounds");
-    shared.rounds_entered.insert(round);
+    JobShared::Round& rd = shared.rounds.at(round);
+    if (!rd.entered) {
+      rd.entered = true;
+      ++ctx.stats->recovery_rounds;
+    }
     const int port = cfg.port_base + net::kPortRecoveryBase + round;
-    const std::vector<int>& participants = shared.round_participants[round];
-    auto& sent = shared.eos_sent[round];
+    const std::vector<int>& participants = rd.participants;
+    auto& sent = rd.eos_sent;
 
     // Expected senders on the round port: peers still in the job (their EOS
     // will arrive, or compensation injects it if they die — we register
@@ -266,12 +281,12 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
 
     // Re-execute lost splits: regenerates the dead node's contributions to
     // every partition (byte-identical runs under the original dedup tags).
-    co_await run_map_phase(rctx, scheduler, state.map);
+    co_await run_map_phase(rctx, scheduler);
 
     // Re-feed the reassigned partitions from the durable-output ledger: our
     // own past contributions for every partition moved this round, re-read
     // from local disk and re-sent to the new owner (no map re-execution).
-    const std::vector<int>& moved = shared.reassigned[round];
+    const std::vector<int>& moved = rd.reassigned;
     std::vector<int> resend;
     for (int g : moved) {
       if (state.ledger.runs.count(g) > 0) resend.push_back(g);
@@ -286,12 +301,8 @@ sim::Task<> run_recovery_rounds(NodeContext ctx, SplitScheduler& scheduler,
     // the destinations drops whatever the aggregator already forwarded.
     // Partitions reassigned this round were already re-fed above.
     if (cfg.combine_mode == CombineMode::kRack) {
-      RackTopology topo{ctx.platform->fabric().profile().rack_size,
-                        ctx.num_nodes};
-      const int my_rack = topo.rack_of(ctx.node_id);
-      const auto dead_it = shared.crashed_node.find(round);
-      if (dead_it != shared.crashed_node.end() &&
-          dead_it->second == topo.aggregator_of(my_rack)) {
+      const RackTopology& topo = shared.topo;
+      if (rd.crashed_node == topo.aggregator_of(topo.rack_of(ctx.node_id))) {
         std::vector<int> agg_resend;
         for (const auto& [g, entries] : state.ledger.runs) {
           if (topo.same_rack(rctx.owner_of(g), ctx.node_id)) continue;
@@ -325,29 +336,13 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
   const int rack_agg_port = cfg.port_base + net::kPortRackAgg;
   ctx.store->start_mergers();
 
-  // Rack mode reshapes the main-port streams: a node hears from its own
-  // rack's members plus the other racks' aggregators (one consolidated
-  // stream per foreign rack) instead of from everyone.
-  const bool rack_mode = cfg.combine_mode == CombineMode::kRack;
-  RackTopology topo;
-  if (rack_mode) {
-    topo.rack_size = ctx.platform->fabric().profile().rack_size;
-    topo.num_nodes = ctx.num_nodes;
-  }
-  // Expect one EOS per node alive at job start (all of them, normally; a
-  // DAG round after an unrecovered inter-round crash runs degraded and the
-  // dead nodes never open a stream).
-  int expected = 0;
-  for (int n = 0; n < ctx.num_nodes; ++n) {
-    if (shared.job_live(sim, n)) ++expected;
-  }
-  if (rack_mode) {
-    expected = topo.members_of(topo.rack_of(ctx.node_id)) + topo.num_racks() - 1;
-  }
+  // One EOS per sender streaming to this node (JobShared::shuffle_senders).
+  const int expected =
+      static_cast<int>(shared.shuffle_senders(ctx.node_id).size());
   sim.spawn(
       shuffle_receiver(ctx, shuffle_port, expected, *state.shuffle_done));
   if (state.rack_combiner != nullptr) {
-    sim.spawn(rack_aggregator(ctx, shared, *state.rack_combiner, topo));
+    sim.spawn(rack_aggregator(ctx, shared, *state.rack_combiner));
   }
 
   // Multi-tenant slot gate: at most `capacity` resident jobs run their map
@@ -375,35 +370,26 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
     std::vector<int> parts;
     for (const auto& [g, entries] : state.ledger.runs) parts.push_back(g);
     sim::TaskGroup sends(sim);
-    state.map.shuffle_bytes_remote +=
+    ctx.stats->shuffle_bytes_remote +=
         co_await replay_ledger(ctx, state.ledger, parts, sends);
     co_await sends.wait();
   }
   ctx.combiner = state.combiner.get();
-  co_await run_map_phase(ctx, scheduler, state.map);
+  co_await run_map_phase(ctx, scheduler);
   ctx.combiner = nullptr;
   tr.end(t, trace::Kind::kPhase, map_name, sim.now());
   tr.begin(t, trace::Kind::kPhase, merge_name, sim.now());
 
   // Map phase done on this node: tell every destination we stream to
-  // directly that no more intermediate data will arrive from here. Flat
-  // modes stream to everyone; rack mode streams to the own-rack members on
-  // the main port plus the own-rack aggregator on the rack-agg port (the
-  // aggregator closes the extra-rack streams itself once all member EOS
-  // arrived and its consolidated output is flushed).
-  std::vector<int> dsts;
-  if (rack_mode) {
-    const int rack = topo.rack_of(ctx.node_id);
-    for (int i = 0; i < topo.members_of(rack); ++i) {
-      dsts.push_back(topo.aggregator_of(rack) + i);
-    }
-  } else {
-    for (int dst = 0; dst < ctx.num_nodes; ++dst) dsts.push_back(dst);
-  }
-  co_await broadcast_eos(ctx, shared, shuffle_port, dsts, nullptr);
-  if (rack_mode) {
+  // directly that no more intermediate data will arrive from here. Rack
+  // mode also closes the member stream to the own-rack aggregator on the
+  // rack-agg port (the aggregator closes the extra-rack streams itself once
+  // all member EOS arrived and its consolidated output is flushed).
+  co_await broadcast_eos(ctx, shared, shuffle_port,
+                         shared.shuffle_destinations(ctx.node_id), nullptr);
+  if (shared.topo.rack_size > 0) {
     const std::vector<int> agg(
-        1, topo.aggregator_of(topo.rack_of(ctx.node_id)));
+        1, shared.topo.aggregator_of(shared.topo.rack_of(ctx.node_id)));
     co_await broadcast_eos(ctx, shared, rack_agg_port, agg, nullptr);
   }
   map_slot.release();
@@ -455,11 +441,11 @@ sim::Task<> node_main(NodeContext ctx, cl::Device* map_device,
           sim::Resource::Hold task_slot;
           if (task_gated) task_slot = co_await ctx.reduce_slot->acquire();
           std::vector<int> one(1, todo[i]);
-          co_await run_reduce_phase(ctx, one, state.reduce);
+          co_await run_reduce_phase(ctx, one);
           state.reduced.insert(todo[i]);
         }
       } else {
-        co_await run_reduce_phase(ctx, todo, state.reduce);
+        co_await run_reduce_phase(ctx, todo);
         for (int g : todo) state.reduced.insert(g);
       }
       tr.end(t, trace::Kind::kPhase, reduce_name, sim.now());
@@ -504,8 +490,6 @@ struct JobExec {
   int num_nodes = 0;
   int total_partitions = 0;
   double start = 0;
-  int rack_size = 0;
-  std::vector<int> start_live;
   bool degraded = false;
   std::uint64_t net_shuffle0 = 0;
   std::uint64_t net_dfs0 = 0;
@@ -524,6 +508,10 @@ struct JobExec {
   std::int32_t round_name = -1;
   std::vector<NodeRun> nodes;
   sim::TaskGroup all;
+  // The job's result, built up where things happen: pipelines add to
+  // result.stats and result.output_files through their NodeContext, and a
+  // resumed residency starts from the suspended one's totals.
+  JobResult result;
 
   JobExec(cluster::Platform& platform_in, dfs::FileSystem& fs_in,
           std::vector<std::unique_ptr<cl::Device>>& map_devices_in,
@@ -543,7 +531,7 @@ struct JobExec {
 
   void setup();
   void finish_marks();
-  JobResult finalize();
+  void finalize();
   // True when a preemption request left work behind: undispensed splits,
   // splits awaiting re-execution, or reduce partitions skipped at a task
   // boundary. Distinguishes a suspension from a request racing completion.
@@ -551,49 +539,17 @@ struct JobExec {
     return scheduler->remaining() > 0 || scheduler->has_lost() ||
            shared.preempt_incomplete;
   }
-  void capture_suspension(JobResult& result);
+  // Resumed residency: true when node `n` is up and has not crashed since
+  // the suspension. A crash while suspended (even one followed by a
+  // restart) took the node's disk, and with it its ledger and the map
+  // output of the splits it committed.
+  bool kept_disk_while_suspended(int n) const {
+    return sim.node_alive(n) &&
+           sim.node_crashes(n) ==
+               preempt->state.crash_counts[static_cast<std::size_t>(n)];
+  }
+  void capture_suspension();
 };
-
-// Accumulates the pure-counter fields of `from` into `into` (sums; maxima
-// for the two high-water marks). Used to carry a suspended job's stats
-// across residencies — the occupancy-derived stage breakdown needs no merge
-// because scheduled jobs never clear the tracer, so scoped accumulators
-// already span every residency.
-void add_counters(JobStats& into, const JobStats& from) {
-  into.map_task_retries += from.map_task_retries;
-  into.reduce_task_retries += from.reduce_task_retries;
-  into.tasks_reexecuted += from.tasks_reexecuted;
-  into.partitions_reassigned += from.partitions_reassigned;
-  into.blocks_rereplicated += from.blocks_rereplicated;
-  into.dfs_replicas_lost += from.dfs_replicas_lost;
-  into.recovery_rounds += from.recovery_rounds;
-  into.duplicate_runs_dropped += from.duplicate_runs_dropped;
-  into.speculative_wins += from.speculative_wins;
-  into.speculative_losses += from.speculative_losses;
-  into.input_splits_lost += from.input_splits_lost;
-  into.input_records += from.input_records;
-  into.intermediate_pairs += from.intermediate_pairs;
-  into.intermediate_bytes += from.intermediate_bytes;
-  into.intermediate_stored += from.intermediate_stored;
-  into.output_pairs += from.output_pairs;
-  into.shuffle_bytes_remote += from.shuffle_bytes_remote;
-  into.net_shuffle_bytes += from.net_shuffle_bytes;
-  into.net_dfs_bytes += from.net_dfs_bytes;
-  into.net_control_bytes += from.net_control_bytes;
-  into.net_rack_agg_bytes += from.net_rack_agg_bytes;
-  into.combine_in_bytes += from.combine_in_bytes;
-  into.combine_out_bytes += from.combine_out_bytes;
-  into.spills += from.spills;
-  into.merges += from.merges;
-  into.spill_bytes += from.spill_bytes;
-  into.merge_levels = std::max(into.merge_levels, from.merge_levels);
-  into.peak_mem_bytes = std::max(into.peak_mem_bytes, from.peak_mem_bytes);
-  into.mem_stall_seconds += from.mem_stall_seconds;
-  into.merge_fanin_runs += from.merge_fanin_runs;
-  into.hash_table_probes += from.hash_table_probes;
-  into.map_kernel += from.map_kernel;
-  into.reduce_kernel += from.reduce_kernel;
-}
 
 void JobExec::setup() {
   GW_CHECK_MSG(static_cast<bool>(app.map), "job needs a map function");
@@ -626,7 +582,7 @@ void JobExec::setup() {
   const CombineMode requested_combine = config.combine_mode;
   // Rack aggregation needs rack structure to exploit; otherwise degrade to
   // the node tier, which is the same data path minus the aggregator hop.
-  rack_size = platform.fabric().profile().rack_size;
+  const int rack_size = platform.fabric().profile().rack_size;
   if (config.combine_mode == CombineMode::kRack &&
       (rack_size <= 0 || platform.num_nodes() <= rack_size)) {
     config.combine_mode = CombineMode::kNode;
@@ -655,6 +611,15 @@ void JobExec::setup() {
                  "marked preemptable");
     preempt = env->preempt;
     resuming = preempt->preemptions > 0;
+  }
+  if (resuming) {
+    // Counters, committed output files and elapsed time carry over from
+    // the suspended residencies. The occupancy-derived stage breakdown
+    // needs no carrying: scheduled jobs never clear the tracer, so scoped
+    // accumulators already span every residency.
+    result.stats = preempt->state.stats;
+    result.output_files = preempt->state.output_files;
+    result.elapsed_seconds = preempt->state.elapsed_s;
   }
 
   // Governed/replication controls reach through the PinnedFs overlay to
@@ -688,6 +653,7 @@ void JobExec::setup() {
   // part: their partitions move to the survivors up front, no pipelines
   // are spawned for them, and shuffle streams expect only live senders.
   // With every node alive this block changes nothing.
+  std::vector<int>& start_live = shared.start_live;
   for (int n = 0; n < num_nodes; ++n) {
     if (sim.node_alive(n)) start_live.push_back(n);
   }
@@ -707,7 +673,7 @@ void JobExec::setup() {
   // this job. NOTE: under multi-tenancy the network-class deltas cover the
   // job's residency window including neighbours' traffic — per-job wire
   // attribution would need per-port accounting, which port namespacing
-  // makes possible (port_bytes) but the legacy fields do not expose.
+  // makes possible (port_bytes) but the per-class totals do not expose.
   net_shuffle0 = tp.total_bytes(net::TrafficClass::kShuffle);
   net_dfs0 = tp.total_bytes(net::TrafficClass::kDfs);
   net_control0 = tp.total_bytes(net::TrafficClass::kControl);
@@ -721,11 +687,12 @@ void JobExec::setup() {
   if (resuming) {
     // Replay map-side progress from the suspended residency: committed
     // splits are never re-dispensed (their output re-enters via the ledger
-    // re-feed). A committer that died in between cannot re-feed, so its
-    // splits stay fresh and are simply mapped again — the original dedup
-    // tags make any overlap harmless.
+    // re-feed). A committer that crashed in between (even if it restarted)
+    // lost its disk and cannot re-feed, so its splits stay fresh and are
+    // simply mapped again — the original dedup tags make any overlap
+    // harmless.
     for (const auto& [idx, node] : preempt->state.committed_splits) {
-      if (!sim.node_alive(node)) continue;
+      if (!kept_disk_while_suspended(node)) continue;
       scheduler->restore_commit(idx, node);
     }
   }
@@ -753,38 +720,19 @@ void JobExec::setup() {
 
   // JobTracker bookkeeping: who is expected on every shuffle stream (for
   // crash compensation), the crash listener that reassigns work, and the
-  // scheduled crash events themselves.
+  // scheduled crash events themselves. Only nodes alive at job start ever
+  // open a stream; dead-at-start nodes are neither senders nor receivers.
+  // In rack mode an aggregator also hears its members on the rack-agg port.
   if (config.combine_mode == CombineMode::kRack) {
-    // Rack mode reshapes the main-port streams: a node hears from its own
-    // rack's members plus the other racks' aggregators, and an aggregator
-    // additionally hears its members on the rack-agg port.
-    const RackTopology topo{rack_size, num_nodes};
-    for (int dst = 0; dst < num_nodes; ++dst) {
-      const int rack = topo.rack_of(dst);
-      std::vector<int> senders;
-      for (int i = 0; i < topo.members_of(rack); ++i) {
-        senders.push_back(topo.aggregator_of(rack) + i);
-      }
-      for (int r = 0; r < topo.num_racks(); ++r) {
-        if (r != rack) senders.push_back(topo.aggregator_of(r));
-      }
-      tp.expect_senders(dst, port(net::kPortShuffle), senders);
+    shared.topo = RackTopology{rack_size, num_nodes};
+    for (int r = 0; r < shared.topo.num_racks(); ++r) {
+      tp.expect_senders(shared.topo.aggregator_of(r), port(net::kPortRackAgg),
+                        shared.topo.members(r));
     }
-    for (int r = 0; r < topo.num_racks(); ++r) {
-      std::vector<int> members;
-      for (int i = 0; i < topo.members_of(r); ++i) {
-        members.push_back(topo.aggregator_of(r) + i);
-      }
-      tp.expect_senders(topo.aggregator_of(r), port(net::kPortRackAgg),
-                        members);
-    }
-  } else {
-    // Only nodes alive at job start ever open a stream; dead-at-start
-    // nodes are neither senders nor receivers. All-alive this is the
-    // legacy everyone-to-everyone registration.
-    for (int dst : start_live) {
-      tp.expect_senders(dst, port(net::kPortShuffle), start_live);
-    }
+  }
+  for (int dst : start_live) {
+    tp.expect_senders(dst, port(net::kPortShuffle),
+                      shared.shuffle_senders(dst));
   }
   listener_id = sim.add_crash_listener([this](int node, bool alive) {
     if (alive) return;  // a restarted node only serves as a DFS target
@@ -803,17 +751,17 @@ void JobExec::setup() {
     GW_CHECK_MSG(!participants.empty(), "every node crashed; job is lost");
     // Reassign the dead node's reduce partitions round-robin over the
     // survivors (ascending ids: deterministic).
-    auto& moved = shared.reassigned[round];
+    JobShared::Round& rd = shared.rounds[round];
+    rd.crashed_node = node;
     std::size_t rr = 0;
     for (int g = 0; g < total_partitions; ++g) {
       if (shared.owner[static_cast<std::size_t>(g)] != node) continue;
       shared.owner[static_cast<std::size_t>(g)] =
           participants[rr++ % participants.size()];
-      moved.push_back(g);
+      rd.reassigned.push_back(g);
     }
-    shared.partitions_reassigned += moved.size();
-    shared.round_participants[round] = std::move(participants);
-    shared.crashed_node[round] = node;
+    result.stats.partitions_reassigned += rd.reassigned.size();
+    rd.participants = std::move(participants);
     // Splits the dead node ran or had committed go back for re-execution.
     scheduler->on_crash(node);
     // Failure detection: inject the dead node's missing EOS frames after
@@ -894,6 +842,8 @@ void JobExec::setup() {
     ctx.shuffle_port = port(net::kPortShuffle);
     ctx.ledger = config.records_map_outputs() ? &state.ledger : nullptr;
     ctx.failed_nodes = &shared.failed;
+    ctx.stats = &result.stats;
+    ctx.output_files = &result.output_files;
     if (env != nullptr && !env->map_slots.empty()) {
       ctx.map_slot = env->map_slots[static_cast<std::size_t>(n)];
     }
@@ -902,23 +852,18 @@ void JobExec::setup() {
     }
     ctx.elastic_slots = env != nullptr && env->elastic;
     ctx.preempt = preempt;
-    if (resuming &&
-        static_cast<std::size_t>(n) < preempt->state.ledgers.size()) {
+    if (resuming && kept_disk_while_suspended(n)) {
       // node_main replays the carried-over ledger before fresh map work.
       state.ledger =
           std::move(preempt->state.ledgers[static_cast<std::size_t>(n)]);
     }
     if (config.combine_mode != CombineMode::kOff) {
-      RackTopology topo;  // rack_size 0 = route straight to the owner
-      if (config.combine_mode == CombineMode::kRack) {
-        topo = RackTopology{rack_size, num_nodes};
-      }
+      // shared.topo.rack_size 0 (node mode) routes straight to the owner.
       state.combiner = std::make_unique<NodeCombiner>(
-          ctx, NodeCombiner::Tier::kMap, topo);
-      if (config.combine_mode == CombineMode::kRack &&
-          topo.is_aggregator(n)) {
+          ctx, NodeCombiner::Tier::kMap, shared.topo);
+      if (shared.topo.rack_size > 0 && shared.topo.is_aggregator(n)) {
         state.rack_combiner = std::make_unique<NodeCombiner>(
-            ctx, NodeCombiner::Tier::kRackAgg, topo);
+            ctx, NodeCombiner::Tier::kRackAgg, shared.topo);
       }
     }
     all.spawn(node_main(ctx, map_devices[static_cast<std::size_t>(n)].get(),
@@ -971,15 +916,17 @@ void JobExec::finish_marks() {
   sim.tracer().end(job_track, trace::Kind::kPhase, job_name, sim.now());
 }
 
-JobResult JobExec::finalize() {
-  JobResult result;
-  result.elapsed_seconds = sim.now() - start;
+void JobExec::finalize() {
+  result.elapsed_seconds += sim.now() - start;
   // Stage breakdown reduces from the trace: each column is the max over
   // nodes of that span's busy occupancy (partition: max over its worker
   // tracks, the paper's Fig 4(a) metric). Names are job-scoped, so a
   // tenant only ever reads its own accumulators.
   const trace::Tracer& tr = sim.tracer();
+  StageBreakdown& b = result.stages;
+  JobStats& stats = result.stats;
   double map_end = start, merge_delay = 0, reduce_elapsed = 0;
+  double mem_stall = 0;
   for (int n = 0; n < num_nodes; ++n) {
     const NodeRun& s = nodes[static_cast<std::size_t>(n)];
     const trace::Occupancy phase_map = tr.occupancy(n, scoped("phase.map"));
@@ -991,116 +938,72 @@ JobResult JobExec::finalize() {
     merge_delay = std::max(merge_delay, phase_merge.busy);
     reduce_elapsed = std::max(reduce_elapsed, phase_reduce.busy);
 
-    result.stages.input = std::max(
-        result.stages.input, tr.occupancy(n, scoped("map.input")).busy);
-    result.stages.stage = std::max(
-        result.stages.stage, tr.occupancy(n, scoped("map.stage")).busy);
-    result.stages.kernel = std::max(
-        result.stages.kernel, tr.occupancy(n, scoped("map.kernel")).busy);
-    result.stages.retrieve = std::max(
-        result.stages.retrieve, tr.occupancy(n, scoped("map.retrieve")).busy);
-    result.stages.partition =
-        std::max(result.stages.partition,
-                 tr.occupancy(n, scoped("map.partition")).max_track_busy);
-    result.stages.map_elapsed =
-        std::max(result.stages.map_elapsed, phase_map.busy);
-    result.stages.merge_delay =
-        std::max(result.stages.merge_delay, phase_merge.busy);
-    result.stages.reduce_input =
-        std::max(result.stages.reduce_input,
-                 tr.occupancy(n, scoped("reduce.input")).busy);
-    result.stages.reduce_stage =
-        std::max(result.stages.reduce_stage,
-                 tr.occupancy(n, scoped("reduce.stage")).busy);
-    result.stages.reduce_kernel =
-        std::max(result.stages.reduce_kernel,
-                 tr.occupancy(n, scoped("reduce.kernel")).busy);
-    result.stages.reduce_retrieve =
-        std::max(result.stages.reduce_retrieve,
-                 tr.occupancy(n, scoped("reduce.retrieve")).busy);
-    result.stages.reduce_output =
-        std::max(result.stages.reduce_output,
-                 tr.occupancy(n, scoped("reduce.output")).busy);
-    result.stages.reduce_elapsed =
-        std::max(result.stages.reduce_elapsed, phase_reduce.busy);
+    const auto busy = [&](const char* name) {
+      return tr.occupancy(n, scoped(name)).busy;
+    };
+    b.input = std::max(b.input, busy("map.input"));
+    b.stage = std::max(b.stage, busy("map.stage"));
+    b.kernel = std::max(b.kernel, busy("map.kernel"));
+    b.retrieve = std::max(b.retrieve, busy("map.retrieve"));
+    b.partition = std::max(
+        b.partition, tr.occupancy(n, scoped("map.partition")).max_track_busy);
+    b.map_elapsed = std::max(b.map_elapsed, phase_map.busy);
+    b.merge_delay = std::max(b.merge_delay, phase_merge.busy);
+    b.reduce_input = std::max(b.reduce_input, busy("reduce.input"));
+    b.reduce_stage = std::max(b.reduce_stage, busy("reduce.stage"));
+    b.reduce_kernel = std::max(b.reduce_kernel, busy("reduce.kernel"));
+    b.reduce_retrieve = std::max(b.reduce_retrieve, busy("reduce.retrieve"));
+    b.reduce_output = std::max(b.reduce_output, busy("reduce.output"));
+    b.reduce_elapsed = std::max(b.reduce_elapsed, phase_reduce.busy);
 
-    result.stats.input_records += s.map.records;
-    result.stats.intermediate_pairs += s.map.pairs;
-    result.stats.intermediate_bytes += s.map.intermediate_raw;
-    result.stats.intermediate_stored += s.map.intermediate_stored;
-    result.stats.shuffle_bytes_remote += s.map.shuffle_bytes_remote;
-    result.stats.map_task_retries += s.map.task_failures;
-    result.stats.reduce_task_retries += s.reduce.task_failures;
-    result.stats.spills += s.store->spills();
-    result.stats.merges += s.store->merges();
-    result.stats.merge_fanin_runs += s.store->merge_fanin_runs();
-    result.stats.spill_bytes += s.store->spill_bytes();
-    result.stats.merge_levels =
-        std::max(result.stats.merge_levels, s.store->merge_levels());
+    // Per-node objects whose own accessors have other readers (store
+    // tests, the mem.* and combine.* trace marks) fold in once, here.
+    stats.spills += s.store->spills();
+    stats.merges += s.store->merges();
+    stats.merge_fanin_runs += s.store->merge_fanin_runs();
+    stats.spill_bytes += s.store->spill_bytes();
+    stats.merge_levels = std::max(stats.merge_levels, s.store->merge_levels());
+    stats.duplicate_runs_dropped += s.store->duplicate_runs_dropped();
     if (s.governor != nullptr) {
-      result.stats.peak_mem_bytes =
-          std::max(result.stats.peak_mem_bytes, s.governor->peak_bytes());
-      result.stats.mem_stall_seconds += s.governor->stall_seconds();
+      stats.peak_mem_bytes =
+          std::max(stats.peak_mem_bytes, s.governor->peak_bytes());
+      mem_stall += s.governor->stall_seconds();
     }
-    result.stats.duplicate_runs_dropped += s.store->duplicate_runs_dropped();
-    if (s.combiner != nullptr) {
-      // With combining active the map-tier combiner owns the remote sends,
-      // so its framed wire bytes are the node's remote shuffle volume.
-      result.stats.shuffle_bytes_remote += s.combiner->metrics().wire_bytes;
-      result.stats.combine_in_bytes += s.combiner->metrics().in_bytes;
-      result.stats.combine_out_bytes += s.combiner->metrics().out_bytes;
-    }
-    if (s.rack_combiner != nullptr) {
-      result.stats.combine_in_bytes += s.rack_combiner->metrics().in_bytes;
-      result.stats.combine_out_bytes += s.rack_combiner->metrics().out_bytes;
-    }
-    result.stats.hash_table_probes += s.map.hash_probes;
-    result.stats.input_splits_lost += s.map.input_splits_lost;
-    result.stats.output_pairs += s.reduce.output_pairs;
-    result.stats.map_kernel += s.map.kernel_stats;
-    result.stats.reduce_kernel += s.reduce.kernel_stats;
-    for (const auto& f : s.reduce.output_files) {
-      result.output_files.push_back(f);
+    for (const NodeCombiner* c : {s.combiner.get(), s.rack_combiner.get()}) {
+      if (c == nullptr) continue;
+      stats.combine_in_bytes += c->metrics().in_bytes;
+      stats.combine_out_bytes += c->metrics().out_bytes;
     }
   }
+  // This residency's stall total joins the carried one in a single add
+  // (the sum order of the double stays fixed).
+  stats.mem_stall_seconds += mem_stall;
   result.map_phase_seconds = map_end - start;
   result.merge_delay_seconds = merge_delay;
   result.reduce_phase_seconds = reduce_elapsed;
-  result.stats.tasks_reexecuted = scheduler->reexecutions();
-  result.stats.speculative_wins = scheduler->speculative_wins();
-  result.stats.speculative_losses = scheduler->speculative_losses();
-  result.stats.partitions_reassigned = shared.partitions_reassigned;
-  result.stats.recovery_rounds = shared.rounds_entered.size();
-  result.stats.dfs_replicas_lost =
-      hdfs ? hdfs->replicas_lost() - dfs_lost0 : 0;
-  result.stats.blocks_rereplicated =
-      hdfs ? hdfs->blocks_rereplicated() - dfs_rerep0 : 0;
-  result.stats.net_shuffle_bytes =
+  stats.tasks_reexecuted += scheduler->reexecutions();
+  stats.speculative_wins += scheduler->speculative_wins();
+  stats.speculative_losses += scheduler->speculative_losses();
+  if (hdfs != nullptr) {
+    stats.dfs_replicas_lost += hdfs->replicas_lost() - dfs_lost0;
+    stats.blocks_rereplicated += hdfs->blocks_rereplicated() - dfs_rerep0;
+  }
+  stats.net_shuffle_bytes +=
       tp.total_bytes(net::TrafficClass::kShuffle) - net_shuffle0;
-  result.stats.net_dfs_bytes = tp.total_bytes(net::TrafficClass::kDfs) - net_dfs0;
-  result.stats.net_control_bytes =
+  stats.net_dfs_bytes += tp.total_bytes(net::TrafficClass::kDfs) - net_dfs0;
+  stats.net_control_bytes +=
       tp.total_bytes(net::TrafficClass::kControl) - net_control0;
-  result.stats.net_rack_agg_bytes =
+  stats.net_rack_agg_bytes +=
       tp.total_bytes(net::TrafficClass::kRackAgg) - net_rack_agg0;
   result.combine_degraded = combine_degraded;
-  if (resuming) {
-    // Fold in the residencies before the suspension: counters add, output
-    // files union (a resumed run never re-reduces a committed partition,
-    // so there is no overlap), elapsed accumulates residency time only.
-    const ResumeState& rs = preempt->state;
-    add_counters(result.stats, rs.stats);
-    for (const auto& f : rs.output_files) result.output_files.push_back(f);
-    result.elapsed_seconds += rs.elapsed_s;
-  }
   std::sort(result.output_files.begin(), result.output_files.end());
-  return result;
 }
 
-void JobExec::capture_suspension(JobResult& result) {
+void JobExec::capture_suspension() {
   PreemptControl& pc = *preempt;
   ResumeState& rs = pc.state;
-  // finalize() already folded earlier residencies into `result`, so the
-  // checkpoint is a plain snapshot of the cumulative totals.
+  // `result` already carries every earlier residency, so the checkpoint
+  // is a plain snapshot of the cumulative totals.
   rs.committed_splits.clear();
   for (const auto& [idx, node] : scheduler->committed_splits()) {
     rs.committed_splits[idx] = node;
@@ -1110,7 +1013,9 @@ void JobExec::capture_suspension(JobResult& result) {
   // suspensions. A node that crashed lost its disk (a restart comes back
   // empty), so its ledger is dropped, not replayed.
   rs.ledgers.assign(static_cast<std::size_t>(num_nodes), MapOutputLedger());
+  rs.crash_counts.assign(static_cast<std::size_t>(num_nodes), 0);
   for (int n = 0; n < num_nodes; ++n) {
+    rs.crash_counts[static_cast<std::size_t>(n)] = sim.node_crashes(n);
     if (shared.failed.count(n) > 0) continue;
     rs.ledgers[static_cast<std::size_t>(n)] =
         std::move(nodes[static_cast<std::size_t>(n)].ledger);
@@ -1226,11 +1131,11 @@ sim::Task<JobResult> GlasswingRuntime::run_async(AppKernels app,
   ex.sim.remove_crash_listener(ex.listener_id);
   if (failed) util::throw_error("job failed: " + failure);
   platform_.fabric().check_quiesced(lo, hi);
-  JobResult result = ex.finalize();
+  ex.finalize();
   if (ex.preempt != nullptr && ex.preempt->requested && ex.incomplete()) {
-    ex.capture_suspension(result);
+    ex.capture_suspension();
   }
-  co_return result;
+  co_return std::move(ex.result);
 }
 
 }  // namespace gw::core

@@ -139,7 +139,8 @@ namespace {
 
 sim::Task<> input_stage(Stage& st, NodeContext ctx, SplitScheduler& scheduler,
                         sim::Resource& in_buffers,
-                        sim::Channel<StagedChunk>& out, MapMetrics& m) {
+                        sim::Channel<StagedChunk>& out) {
+  JobStats& stats = *ctx.stats;
   for (;;) {
     // A crashed node initiates no new work; in-flight chunks drain through
     // the pipeline (their sends are dropped by the dead-endpoint check).
@@ -184,7 +185,7 @@ sim::Task<> input_stage(Stage& st, NodeContext ctx, SplitScheduler& scheduler,
         // Every copy of the split's data is gone. In a DAG round the
         // driver rewinds to regenerate it; mid-single-job loss is fatal.
         if (ctx.config->dag_round < 0) throw;
-        ++m.input_splits_lost;
+        ++stats.input_splits_lost;
         split_lost = true;
       }
       if (!split_lost) {
@@ -203,7 +204,7 @@ sim::Task<> input_stage(Stage& st, NodeContext ctx, SplitScheduler& scheduler,
       }
     }
     if (offsets.empty()) continue;  // hold released by destructor
-    m.records += offsets.size();
+    stats.input_records += offsets.size();
     co_await out.send(StagedChunk(std::move(data), std::move(offsets),
                                   *split, std::move(hold),
                                   std::move(mem_hold),
@@ -234,7 +235,7 @@ sim::Task<> stage_stage(Stage& st, NodeContext ctx,
 sim::Task<MapChunkOutput> run_map_kernel(
     const NodeContext& ctx, const util::Bytes& bytes,
     const std::vector<std::uint64_t>& offsets,
-    std::unique_ptr<MapOutputCollector>& collector, MapMetrics& m) {
+    std::unique_ptr<MapOutputCollector>& collector) {
   const JobConfig& cfg = *ctx.config;
   const AppKernels& app = *ctx.app;
   const std::size_t records = offsets.size();
@@ -246,7 +247,7 @@ sim::Task<MapChunkOutput> run_map_kernel(
   const std::string_view data(reinterpret_cast<const char*>(bytes.data()),
                               bytes.size());
 
-  cl::KernelStats stats = co_await ctx.device->run_kernel_grouped(
+  const cl::KernelStats kernel = co_await ctx.device->run_kernel_grouped(
       records, groups,
       [&](std::size_t i, std::size_t g, cl::KernelCounters& c) {
         const std::uint64_t begin = offsets[i];
@@ -259,21 +260,22 @@ sim::Task<MapChunkOutput> run_map_kernel(
         app.map(record, mctx);
       },
       cfg.map_launch);
-  m.kernel_stats += stats;
+  ctx.stats->map_kernel += kernel;
 
   const std::optional<CombineFn>& combine =
       cfg.use_combiner ? app.combine : std::nullopt;
   MapChunkOutput chunk_out =
       co_await collector->finalize(*ctx.device, combine, cfg.map_launch);
-  m.kernel_stats += chunk_out.post_stats;
+  ctx.stats->map_kernel += chunk_out.post_stats;
   co_return std::move(chunk_out);
 }
 
 sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
                          sim::Channel<StagedChunk>& in,
                          sim::Resource& out_buffers,
-                         sim::Channel<KernelOut>& out, MapMetrics& m) {
+                         sim::Channel<KernelOut>& out) {
   const JobConfig& cfg = *ctx.config;
+  JobStats& stats = *ctx.stats;
   const std::int32_t retry_name = st.span_name("retry");
   std::unique_ptr<MapOutputCollector> collector;
   for (;;) {
@@ -284,7 +286,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
     {
       Stage::BusyScope scope(st);
       chunk_out = co_await run_map_kernel(ctx, item->data, item->offsets,
-                                          collector, m);
+                                          collector);
 
       // Fault injection (§III-E): the first attempt of every Nth task —
       // 1-based, so `every` = 3 fails tasks 2, 5, 8… and split 0 is not
@@ -296,7 +298,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
       const int every = cfg.fail_every_nth_map_task;
       if (every > 0 && item->split.attempt == 0 &&
           (item->split.index + 1) % every == 0) {
-        ++m.task_failures;
+        ++stats.map_task_retries;
         st.instant(trace::Kind::kRetry, retry_name,
                    static_cast<std::uint64_t>(item->split.index));
         chunk_out = MapChunkOutput();  // discard partial output
@@ -313,16 +315,15 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
                             reinterpret_cast<const char*>(again.data()),
                             again.size()));
           chunk_out =
-              co_await run_map_kernel(ctx, again, offsets, collector, m);
+              co_await run_map_kernel(ctx, again, offsets, collector);
         } catch (const dfs::DataLossError&) {
           if (ctx.config->dag_round < 0) throw;
-          ++m.input_splits_lost;
+          ++stats.input_splits_lost;
         }
       }
 
-      m.pairs += chunk_out.pairs.size();
-      m.distinct_keys += chunk_out.distinct_keys;
-      m.hash_probes += chunk_out.hash_probes;
+      stats.intermediate_pairs += chunk_out.pairs.size();
+      stats.hash_table_probes += chunk_out.hash_probes;
       item->in_hold.release();  // input buffer free once the kernel consumed it
       item->mem_hold.release();
     }
@@ -368,9 +369,10 @@ struct PartitionJobOut {
 
 sim::Task<> partition_worker(Stage& st, NodeContext ctx,
                              sim::Channel<KernelOut>& in,
-                             SplitScheduler& scheduler, MapMetrics& m,
+                             SplitScheduler& scheduler,
                              sim::TaskGroup& sends) {
   const JobConfig& cfg = *ctx.config;
+  JobStats& stats = *ctx.stats;
   const HostCosts& h = cfg.host;
   const std::int32_t shuffle_name = st.span_name("shuffle");
   // One bucket vector per worker, cleared in place between chunks so the
@@ -410,7 +412,7 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
       cpu_s += static_cast<double>(bucket.blob_bytes()) / h.sort_bytes_per_s +
                static_cast<double>(raw) / h.serialize_bytes_per_s +
                static_cast<double>(raw) / h.compress_bytes_per_s;
-      m.intermediate_raw += raw;
+      stats.intermediate_bytes += raw;
     }
     auto work = ctx.sim().offload([&buckets, &live] {
       PartitionJobOut res;
@@ -433,7 +435,7 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
     co_await ctx.node->cpu_work(cpu_s);
     PartitionJobOut job_out = co_await ctx.sim().join(std::move(work));
     for (const auto& [g, run] : job_out.runs) {
-      m.intermediate_stored += run.stored_bytes();
+      stats.intermediate_stored += run.stored_bytes();
     }
     // Durability: every produced Partition goes to local disk (§III-A/E);
     // appended sequentially, so seeks amortize.
@@ -477,7 +479,7 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
                                    std::move(run));
       } else {
         util::Bytes wire = encode_run_frame(static_cast<int>(g), run);
-        m.shuffle_bytes_remote += wire.size();
+        stats.shuffle_bytes_remote += wire.size();
         st.instant(trace::Kind::kShuffle, shuffle_name, wire.size());
         // Push shuffle rides the transport: with flow control enabled the
         // spawned send blocks on the stream's credit window, bounding the
@@ -496,8 +498,7 @@ sim::Task<> partition_worker(Stage& st, NodeContext ctx,
 
 }  // namespace
 
-sim::Task<> run_map_phase(NodeContext ctx, SplitScheduler& scheduler,
-                          MapMetrics& metrics) {
+sim::Task<> run_map_phase(NodeContext ctx, SplitScheduler& scheduler) {
   auto& sim = ctx.sim();
   const JobConfig& cfg = *ctx.config;
   GW_CHECK_MSG(cfg.buffering >= 1 && cfg.buffering <= 3,
@@ -512,20 +513,19 @@ sim::Task<> run_map_phase(NodeContext ctx, SplitScheduler& scheduler,
   auto& c45 = g.channel<KernelOut>(8);
 
   sim::TaskGroup sends(sim);
-  MapMetrics& m = metrics;
   g.add_stage("input", 1, [&, ctx](Stage& st) {
-    return input_stage(st, ctx, scheduler, in_buffers, c12, m);
+    return input_stage(st, ctx, scheduler, in_buffers, c12);
   });
   g.add_stage("stage", 1,
               [&, ctx](Stage& st) { return stage_stage(st, ctx, c12, c23); });
   g.add_stage("kernel", 1, [&, ctx](Stage& st) {
-    return kernel_stage(st, ctx, c23, out_buffers, c34, m);
+    return kernel_stage(st, ctx, c23, out_buffers, c34);
   });
   g.add_stage("retrieve", 1, [&, ctx](Stage& st) {
     return retrieve_stage(st, ctx, c34, c45);
   });
   g.add_stage("partition", cfg.partitioner_threads, [&, ctx](Stage& st) {
-    return partition_worker(st, ctx, c45, scheduler, m, sends);
+    return partition_worker(st, ctx, c45, scheduler, sends);
   });
   co_await g.run();
   if (ctx.combiner != nullptr) {

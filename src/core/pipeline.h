@@ -145,6 +145,12 @@ struct ResumeState {
   // Per node; moved into the next residency, which replays it. Empty for
   // a node that crashed (its disk died with it).
   std::vector<MapOutputLedger> ledgers;
+  // Per node, Simulation::node_crashes at suspension: a node whose count
+  // moved by the resume crashed while the job was suspended, so its
+  // ledger and its commits died with its disk.
+  std::vector<std::uint64_t> crash_counts;
+  // The next residency starts its result from these: counters, output
+  // files and elapsed time keep accumulating across residencies.
   std::vector<std::string> output_files;  // partitions reduced pre-suspension
   JobStats stats;                         // counters accumulated pre-suspension
   double elapsed_s = 0;                   // residency time before suspension
@@ -171,18 +177,22 @@ struct NodeContext {
   dfs::FileSystem* fs = nullptr;
   cl::Device* device = nullptr;
   IntermediateStore* store = nullptr;
-  // Per-node memory governor; null = ungoverned (legacy unbounded buffers).
+  // Per-node memory governor; null = ungoverned (buffers are unbounded).
   MemoryGovernor* mem = nullptr;
   const JobConfig* config = nullptr;
   const AppKernels* app = nullptr;
   int node_id = 0;
   int num_nodes = 1;
   int total_partitions = 1;
-  // Map-tier hierarchical combiner; null = legacy direct push shuffle.
-  // Remote-destined partition runs route through it instead of being sent
-  // individually (local runs still go straight to the store). Always null
-  // during recovery rounds: replayed provenance stays uncombined.
+  // Map-tier hierarchical combiner; null = every remote-destined partition
+  // run is sent on its own. When set, those runs route through it instead
+  // (local runs still go straight to the store). Always null during
+  // recovery rounds: replayed provenance stays uncombined.
   NodeCombiner* combiner = nullptr;
+  // The job's counters and committed output files, shared by every node:
+  // each pipeline stage adds to them where the event happens.
+  JobStats* stats = nullptr;
+  std::vector<std::string>* output_files = nullptr;
 
   // --- multi-tenant slot gates (core::Scheduler) ---
   // Per-node counted slot pools shared by every resident job; node_main
@@ -249,36 +259,12 @@ sim::Task<> send_dropping(NodeContext ctx, int dst, int port,
                           net::TrafficClass tc, util::Bytes wire,
                           std::uint64_t tag);
 
-// Counters only; stage busy times and phase boundaries live in the trace
-// (sim.tracer()), reduced via trace::Tracer::occupancy.
-struct MapMetrics {
-  std::uint64_t task_failures = 0;
-  cl::KernelStats kernel_stats;
-  std::uint64_t records = 0;
-  std::uint64_t pairs = 0;
-  std::uint64_t intermediate_raw = 0;
-  std::uint64_t intermediate_stored = 0;
-  std::uint64_t shuffle_bytes_remote = 0;
-  std::uint64_t distinct_keys = 0;
-  // Hash-table collector probe count (0 in shared-pool mode).
-  std::uint64_t hash_probes = 0;
-  // Splits skipped because their data vanished (DAG rounds only).
-  std::uint64_t input_splits_lost = 0;
-};
-
 // Runs the complete map pipeline on one node, feeding the local store and
 // pushing remote partitions over the fabric. Completes when every split
 // assigned to this node has been partitioned AND all shuffle sends have
-// been handed to the network.
-sim::Task<> run_map_phase(NodeContext ctx, SplitScheduler& scheduler,
-                          MapMetrics& metrics);
-
-struct ReduceMetrics {
-  std::uint64_t task_failures = 0;  // injected reduce-task failures
-  cl::KernelStats kernel_stats;
-  std::uint64_t output_pairs = 0;
-  std::vector<std::string> output_files;
-};
+// been handed to the network. Counters go to *ctx.stats; stage busy times
+// and phase boundaries live in the trace (trace::Tracer::occupancy).
+sim::Task<> run_map_phase(NodeContext ctx, SplitScheduler& scheduler);
 
 // Output file for global partition `g` under the job's output path.
 std::string partition_output_path(const JobConfig& config, int g);
@@ -287,8 +273,8 @@ std::string partition_output_path(const JobConfig& config, int g);
 // store). Jobs without a reduce function (TeraSort) merge and write
 // directly. In a failure-free job the list is the node's statically owned
 // ids; after a crash it is whatever the (reassigned) owner map says.
-sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions,
-                             ReduceMetrics& metrics);
+// Committed files are appended to *ctx.output_files.
+sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions);
 
 // Output files are uncompressed Runs wrapped with Run::serialize; helper to
 // read one back as pairs (used by tests, benches and examples).

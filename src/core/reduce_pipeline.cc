@@ -94,8 +94,7 @@ class GroupPairEmitter : public ReduceEmitter {
 // nullopt when the partition holds no runs.
 sim::Task<std::optional<BackingRun>> merge_partition(Stage& st,
                                                      NodeContext ctx, int p,
-                                                     std::int32_t retry_name,
-                                                     ReduceMetrics& m) {
+                                                     std::int32_t retry_name) {
   const JobConfig& cfg = *ctx.config;
   std::uint64_t disk_bytes = 0;
   std::vector<Run> runs = ctx.store->take_partition(p, &disk_bytes);
@@ -146,7 +145,7 @@ sim::Task<std::optional<BackingRun>> merge_partition(Stage& st,
   // re-fail by construction.
   const int every = cfg.fail_every_nth_reduce_task;
   if (every > 0 && (p + 1) % every == 0) {
-    ++m.task_failures;
+    ++ctx.stats->reduce_task_retries;
     st.instant(trace::Kind::kRetry, retry_name, static_cast<std::uint64_t>(p));
     co_await charge();
   }
@@ -155,7 +154,7 @@ sim::Task<std::optional<BackingRun>> merge_partition(Stage& st,
 
 sim::Task<> input_stage(Stage& st, NodeContext ctx, std::vector<int> partitions,
                         sim::Resource& in_buffers,
-                        sim::Channel<ReduceChunk>& out, ReduceMetrics& m) {
+                        sim::Channel<ReduceChunk>& out) {
   const JobConfig& cfg = *ctx.config;
   const std::int32_t retry_name = st.span_name("retry");
   for (int p : partitions) {
@@ -163,7 +162,7 @@ sim::Task<> input_stage(Stage& st, NodeContext ctx, std::vector<int> partitions,
     // flight completes (in-flight work finishes, §III-E crash semantics).
     if (!ctx.self_live()) break;
     std::optional<BackingRun> merged =
-        co_await merge_partition(st, ctx, p, retry_name, m);
+        co_await merge_partition(st, ctx, p, retry_name);
     if (!merged) continue;
     // The merge-pool hold lives until the last chunk viewing the merged run
     // is reduced: it rides the backing shared_ptr.
@@ -256,7 +255,7 @@ sim::Task<> stage_stage(Stage& st, NodeContext ctx,
 sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
                          sim::Channel<ReduceChunk>& in,
                          sim::Resource& out_buffers,
-                         sim::Channel<ReducedChunk>& out, ReduceMetrics& m) {
+                         sim::Channel<ReducedChunk>& out) {
   const JobConfig& cfg = *ctx.config;
   const ReduceFn& reduce = *ctx.app->reduce;
   // Scratch state for sliced keys, keyed per (partition, key).
@@ -284,7 +283,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
                                              threads));
       std::vector<PairList> out_groups(groups);
 
-      cl::KernelStats stats = co_await ctx.device->run_kernel_grouped(
+      const cl::KernelStats kernel = co_await ctx.device->run_kernel_grouped(
           threads, groups,
           [&](std::size_t t, std::size_t g, cl::KernelCounters& c) {
             c.charge_ops(kThreadCreateOps);
@@ -334,7 +333,7 @@ sim::Task<> kernel_stage(Stage& st, NodeContext ctx,
             }
           },
           cfg.reduce_launch);
-      m.kernel_stats += stats;
+      ctx.stats->reduce_kernel += kernel;
       for (auto& pl : out_groups) result.pairs.append(pl);
     }
     // Release promptly (the optional holding it lives until the next recv,
@@ -362,7 +361,7 @@ sim::Task<> retrieve_stage(Stage& st, NodeContext ctx,
 }
 
 sim::Task<> write_output(Stage& st, NodeContext ctx, int g,
-                         RunBuilder&& builder, ReduceMetrics& m) {
+                         RunBuilder&& builder) {
   // Zombies never commit: a node that crashed mid-reduce drops its output
   // instead of initiating a DFS write, and a crash racing the write itself
   // abandons the file. Either way no output file exists for `g`, which is
@@ -403,12 +402,12 @@ sim::Task<> write_output(Stage& st, NodeContext ctx, int g,
       if (!may_retry) throw;
     }
   }
-  m.output_pairs += pairs;
-  m.output_files.push_back(path);
+  ctx.stats->output_pairs += pairs;
+  ctx.output_files->push_back(path);
 }
 
 sim::Task<> output_stage(Stage& st, NodeContext ctx,
-                         sim::Channel<ReducedChunk>& in, ReduceMetrics& m) {
+                         sim::Channel<ReducedChunk>& in) {
   std::map<int, RunBuilder> builders;
   for (;;) {
     auto item = co_await in.recv();
@@ -418,7 +417,7 @@ sim::Task<> output_stage(Stage& st, NodeContext ctx,
       builder.add_encoded(item->pairs.encoded_pair(i));
     }
     if (item->last_of_partition) {
-      co_await write_output(st, ctx, item->partition, std::move(builder), m);
+      co_await write_output(st, ctx, item->partition, std::move(builder));
       builders.erase(item->partition);
     }
     item->out_hold.release();
@@ -428,7 +427,7 @@ sim::Task<> output_stage(Stage& st, NodeContext ctx,
 // TeraSort-style jobs: no reduce function; the merged partitions are the
 // final output (§IV-A1).
 sim::Task<> merge_only_reduce(Stage& st, NodeContext ctx,
-                              std::vector<int> partitions, ReduceMetrics& m) {
+                              std::vector<int> partitions) {
   const std::int32_t retry_name = st.span_name("retry");
   for (int p : partitions) {
     if (!ctx.self_live()) break;  // as in input_stage
@@ -437,7 +436,7 @@ sim::Task<> merge_only_reduce(Stage& st, NodeContext ctx,
       // Governed, the merge-pool hold covers this partition's merge and
       // append only, not the output write.
       std::optional<BackingRun> merged =
-          co_await merge_partition(st, ctx, p, retry_name, m);
+          co_await merge_partition(st, ctx, p, retry_name);
       if (!merged) continue;
       // The merged run is uncompressed and shares our pair framing: its
       // payload can be appended to the output builder wholesale.
@@ -447,7 +446,7 @@ sim::Task<> merge_only_reduce(Stage& st, NodeContext ctx,
                            run.data.size()),
           run.pairs);
     }
-    co_await write_output(st, ctx, p, std::move(builder), m);
+    co_await write_output(st, ctx, p, std::move(builder));
   }
 }
 
@@ -459,8 +458,7 @@ std::string partition_output_path(const JobConfig& config, int g) {
   return config.output_path + buf;
 }
 
-sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions,
-                             ReduceMetrics& metrics) {
+sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions) {
   auto& sim = ctx.sim();
   const JobConfig& cfg = *ctx.config;
 
@@ -470,7 +468,7 @@ sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions,
     // Must stay inline-awaited: spawning would reorder the final Dfs
     // writes relative to other nodes' events.
     Stage& st = g.inline_stage("input");
-    co_await merge_only_reduce(st, ctx, std::move(partitions), metrics);
+    co_await merge_only_reduce(st, ctx, std::move(partitions));
     co_return;
   }
 
@@ -481,20 +479,19 @@ sim::Task<> run_reduce_phase(NodeContext ctx, std::vector<int> partitions,
   auto& c34 = g.channel<ReducedChunk>(8);
   auto& c45 = g.channel<ReducedChunk>(8);
 
-  ReduceMetrics& m = metrics;
   g.add_stage("input", 1, [&, ctx, partitions](Stage& st) {
-    return input_stage(st, ctx, partitions, in_buffers, c12, m);
+    return input_stage(st, ctx, partitions, in_buffers, c12);
   });
   g.add_stage("stage", 1,
               [&, ctx](Stage& st) { return stage_stage(st, ctx, c12, c23); });
   g.add_stage("kernel", 1, [&, ctx](Stage& st) {
-    return kernel_stage(st, ctx, c23, out_buffers, c34, m);
+    return kernel_stage(st, ctx, c23, out_buffers, c34);
   });
   g.add_stage("retrieve", 1, [&, ctx](Stage& st) {
     return retrieve_stage(st, ctx, c34, c45);
   });
   g.add_stage("output", 1,
-              [&, ctx](Stage& st) { return output_stage(st, ctx, c45, m); });
+              [&, ctx](Stage& st) { return output_stage(st, ctx, c45); });
   co_await g.run();
 }
 

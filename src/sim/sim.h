@@ -303,6 +303,12 @@ class Simulation {
     return alive_[static_cast<std::size_t>(node)] != 0;
   }
 
+  // How many times `node` has crashed so far (restarts do not reset it).
+  std::uint64_t node_crashes(int node) const {
+    if (node < 0 || node >= static_cast<int>(crashes_.size())) return 0;
+    return crashes_[static_cast<std::size_t>(node)];
+  }
+
   // Listener invoked at crash (`alive == false`) or restart (`alive ==
   // true`) time, on the sim thread, at an unchanged now(). Listeners may
   // spawn recovery processes. Returns an id for remove_crash_listener.
@@ -342,9 +348,11 @@ class Simulation {
     GW_CHECK(node >= 0);
     if (static_cast<int>(alive_.size()) <= node) {
       alive_.resize(static_cast<std::size_t>(node) + 1, 1);
+      crashes_.resize(alive_.size(), 0);
     }
     if ((alive_[static_cast<std::size_t>(node)] != 0) == alive) return;
     alive_[static_cast<std::size_t>(node)] = alive ? 1 : 0;
+    if (!alive) ++crashes_[static_cast<std::size_t>(node)];
     // Iterate over a copy: listeners may register/unregister more listeners.
     const auto listeners = crash_listeners_;
     for (const auto& [id, fn] : listeners) fn(node, alive);
@@ -424,6 +432,7 @@ class Simulation {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
   std::deque<PendingJoin> pending_joins_;
   std::vector<char> alive_;  // lazily sized; absent == alive
+  std::vector<std::uint64_t> crashes_;  // sized with alive_
   std::vector<std::pair<int, CrashListener>> crash_listeners_;
   int next_listener_id_ = 0;
   trace::Tracer tracer_;

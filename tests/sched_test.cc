@@ -513,10 +513,15 @@ struct PreemptOutcome {
   double makespan = 0;
 };
 
+struct VictimSolo {
+  std::map<std::string, util::Bytes> output;
+  double elapsed = 0;
+  JobStats stats;
+};
+
 // Uninterrupted solo baseline for the preemption victim: same input bytes,
 // same config, single-job entry point on an identical fresh cluster.
-std::pair<std::map<std::string, util::Bytes>, double> run_victim_solo(
-    std::size_t lines) {
+VictimSolo run_victim_solo(std::size_t lines) {
   Platform p = make_platform(4);
   dfs::Dfs fs(p, dfs::DfsConfig{});
   write_file(p, fs, "/in/big", make_text(lines, 21));
@@ -526,8 +531,7 @@ std::pair<std::map<std::string, util::Bytes>, double> run_victim_solo(
   cfg.output_path = "/out/victim";
   cfg.split_size = 32 << 10;
   JobResult r = rt.run(wordcount_app(), cfg);
-  auto bytes = output_bytes(p, fs, r);
-  return {std::move(bytes), r.elapsed_seconds};
+  return {output_bytes(p, fs, r), r.elapsed_seconds, r.stats};
 }
 
 // A class-1 victim starts alone under a preempting priority scheduler; a
@@ -591,8 +595,9 @@ PreemptOutcome run_preempted(
 TEST(SchedPreempt, DisplacedJobByteIdenticalAcrossPhasesAndThreadCounts) {
   const std::size_t kLines = 3000;
   util::ThreadPool::reset_global(1);
-  const auto [solo, solo_elapsed] = run_victim_solo(kLines);
-  ASSERT_FALSE(solo.empty());
+  const VictimSolo solo = run_victim_solo(kLines);
+  const double solo_elapsed = solo.elapsed;
+  ASSERT_FALSE(solo.output.empty());
   ASSERT_GT(solo_elapsed, 0);
 
   for (const double frac : {0.1, 0.4, 0.7}) {
@@ -611,7 +616,18 @@ TEST(SchedPreempt, DisplacedJobByteIdenticalAcrossPhasesAndThreadCounts) {
       EXPECT_EQ(o.sched_preempts, 1);
       EXPECT_EQ(o.sched_resumes, 1);
       // Same file names, same bytes as the uninterrupted run.
-      EXPECT_EQ(o.victim_output, solo);
+      EXPECT_EQ(o.victim_output, solo.output);
+      // Every split is mapped once and every partition reduced once across
+      // the two residencies, so the work counters add up to the solo run's.
+      const JobStats& vs = o.victim_stats;
+      EXPECT_EQ(vs.input_records, solo.stats.input_records);
+      EXPECT_EQ(vs.intermediate_pairs, solo.stats.intermediate_pairs);
+      EXPECT_EQ(vs.output_pairs, solo.stats.output_pairs);
+      EXPECT_EQ(vs.map_kernel.ops, solo.stats.map_kernel.ops);
+      EXPECT_EQ(vs.map_kernel.work_items, solo.stats.map_kernel.work_items);
+      EXPECT_EQ(vs.reduce_kernel.ops, solo.stats.reduce_kernel.ops);
+      EXPECT_EQ(vs.reduce_kernel.work_items,
+                solo.stats.reduce_kernel.work_items);
       // And the whole preempted timeline is GW_THREADS-invariant.
       if (!have_base) {
         base = std::move(o);
@@ -630,8 +646,9 @@ TEST(SchedPreempt, DisplacedJobByteIdenticalAcrossPhasesAndThreadCounts) {
 // disks).
 TEST(SchedPreempt, CrashEventsFireOncePerJob) {
   const std::size_t kLines = 3000;
-  const auto [solo, solo_elapsed] = run_victim_solo(kLines);
-  ASSERT_FALSE(solo.empty());
+  const VictimSolo solo = run_victim_solo(kLines);
+  const double solo_elapsed = solo.elapsed;
+  ASSERT_FALSE(solo.output.empty());
   const std::vector<JobConfig::CrashEvent> crash = {
       JobConfig::CrashEvent{1, 0.05 * solo_elapsed, 0.1 * solo_elapsed}};
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -644,7 +661,33 @@ TEST(SchedPreempt, CrashEventsFireOncePerJob) {
     EXPECT_EQ(o.victim_stats.recovery_rounds, 1u);
     EXPECT_EQ(o.victim_stats.partitions_reassigned, 8u);
     EXPECT_EQ(o.victim_stats.duplicate_runs_dropped, 24u);
-    EXPECT_EQ(o.victim_output, solo);
+    EXPECT_EQ(o.victim_output, solo.output);
+  }
+  util::ThreadPool::reset_global(0);
+}
+
+// A crash that hits node 1 while the victim is suspended, followed by a
+// restart before the resume, is seen by no residency of the victim. The
+// node came back with empty disks, so the resumed residency must neither
+// restore its split commits nor replay its ledger: its committed work is
+// mapped again, and the output still equals the solo run.
+TEST(SchedPreempt, CrashWhileSuspendedMapsTheNodesCommitsAgain) {
+  const std::size_t kLines = 3000;
+  const VictimSolo solo = run_victim_solo(kLines);
+  ASSERT_FALSE(solo.output.empty());
+  const std::vector<JobConfig::CrashEvent> crash = {
+      JobConfig::CrashEvent{1, 0.5 * solo.elapsed, 0.52 * solo.elapsed}};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    util::ThreadPool::reset_global(threads);
+    SCOPED_TRACE("GW_THREADS=" + std::to_string(threads));
+    const PreemptOutcome o = run_preempted(kLines, 0.1 * solo.elapsed, crash);
+    EXPECT_EQ(o.preemptions, 1);
+    EXPECT_EQ(o.resumes, 1);
+    EXPECT_EQ(o.crashes, 1);
+    EXPECT_EQ(o.victim_stats.recovery_rounds, 0u);
+    // Node 1's committed splits are mapped a second time.
+    EXPECT_GT(o.victim_stats.input_records, solo.stats.input_records);
+    EXPECT_EQ(o.victim_output, solo.output);
   }
   util::ThreadPool::reset_global(0);
 }
