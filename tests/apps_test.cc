@@ -74,6 +74,14 @@ TEST(WordCount, GeneratorIsSkewedAndDeterministic) {
   EXPECT_GT(singletons, 100u);
 }
 
+TEST(WordCount, GeneratorOutputIsPinned) {
+  // Every text benchmark and golden test reads this generator; a faster
+  // generator must produce the same bytes.
+  const util::Bytes text = generate_wiki_text(1 << 20, 1);
+  EXPECT_EQ(text.size(), 1048579u);
+  EXPECT_EQ(util::fnv1a(text.data(), text.size()), 14178405808222609170ull);
+}
+
 TEST(WordCount, JobMatchesReferenceOnCluster) {
   Platform p = make_platform(4);
   dfs::Dfs fs(p, dfs::DfsConfig{});
@@ -104,6 +112,12 @@ TEST(Pageview, GeneratorIsSparse) {
   // The paper: "duplicate URLs are rare ... massive number of keys".
   EXPECT_GT(counts.size(), 8000u);
   EXPECT_GT(static_cast<double>(singles) / counts.size(), 0.75);
+}
+
+TEST(Pageview, GeneratorOutputIsPinned) {
+  const util::Bytes log = generate_weblog(1 << 20, 1);
+  EXPECT_EQ(log.size(), 1048580u);
+  EXPECT_EQ(util::fnv1a(log.data(), log.size()), 13413434341168269867ull);
 }
 
 TEST(Pageview, JobMatchesReference) {
