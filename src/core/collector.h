@@ -137,6 +137,11 @@ class HashTableCollector : public MapOutputCollector {
     }
   };
 
+  // finalize's key gather and its buffers (collector.cc). Collectors share
+  // them through a free list, so warm buffers are reused across chunks and
+  // collectors, and only as many exist as finalize jobs run at once.
+  struct Gather;
+
   std::vector<Table> tables_;
 };
 
