@@ -11,7 +11,9 @@
 //   * merge:      N-way merge_runs (N in {2, 8, 64}) vs the priority-queue
 //                 reference implementation
 //   * compress:   lz_compress + lz_decompress roundtrip
-//   * collector:  HashTableCollector emits under Zipf key skew
+//   * collector:  HashTableCollector emits under Zipf key skew, and the
+//                 finalize gather + combine over one chunk of them
+//   * zipf:       ZipfSampler draws (every generated text input)
 //
 // Run via bench/run_host_path.sh to record BENCH_hostpath.json; CI smokes it
 // with --benchmark_min_time so regressions in the host path are visible
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/common.h"
 #include "core/collector.h"
 #include "core/kv.h"
 #include "core/kv_reference.h"
@@ -204,34 +207,101 @@ BENCHMARK(BM_Decompress);
 constexpr std::size_t kInsertPairs = 100000;
 constexpr std::size_t kCollectorGroups = 64;
 
-void BM_HashCollectorInsert(benchmark::State& state) {
-  static const std::vector<std::string> vocab = make_vocabulary(30000);
-  static const util::ZipfSampler zipf(vocab.size(), 1.1);
-  // Pre-sample the emit stream so only collector work is timed.
-  util::Rng rng(99);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> stream;  // (group, rank)
-  stream.reserve(kInsertPairs);
+// Pre-sampled (group, rank) emit stream, so only collector work is timed.
+struct EmitStream {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> emits;
   std::uint64_t bytes = 0;
+};
+
+const std::vector<std::string>& collector_vocab() {
+  static const std::vector<std::string> vocab = make_vocabulary(30000);
+  return vocab;
+}
+
+EmitStream make_emit_stream() {
+  static const util::ZipfSampler zipf(collector_vocab().size(), 1.1);
+  util::Rng rng(99);
+  EmitStream s;
+  s.emits.reserve(kInsertPairs);
   for (std::size_t i = 0; i < kInsertPairs; ++i) {
     const std::uint32_t rank = static_cast<std::uint32_t>(zipf.sample(rng));
-    stream.emplace_back(static_cast<std::uint32_t>(rng.below(kCollectorGroups)),
-                        rank);
-    bytes += vocab[rank].size() + 1;
+    s.emits.emplace_back(
+        static_cast<std::uint32_t>(rng.below(kCollectorGroups)), rank);
+    s.bytes += collector_vocab()[rank].size() + 1;
   }
+  return s;
+}
+
+void emit_all(core::HashTableCollector& collector, const EmitStream& s) {
+  cl::KernelCounters counters;
+  for (const auto& [group, rank] : s.emits) {
+    collector.emit(group, collector_vocab()[rank], "1", counters);
+  }
+  benchmark::DoNotOptimize(counters);
+}
+
+void BM_HashCollectorInsert(benchmark::State& state) {
+  const EmitStream stream = make_emit_stream();
   for (auto _ : state) {
     state.PauseTiming();
     core::HashTableCollector collector(kCollectorGroups);
     state.ResumeTiming();
-    cl::KernelCounters counters;
-    for (const auto& [group, rank] : stream) {
-      collector.emit(group, vocab[rank], "1", counters);
-    }
-    benchmark::DoNotOptimize(counters);
+    emit_all(collector, stream);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
+                          static_cast<std::int64_t>(stream.bytes));
 }
 BENCHMARK(BM_HashCollectorInsert);
+
+sim::Task<> finalize_into(core::HashTableCollector& collector,
+                          cl::Device& device, const core::CombineFn& combine,
+                          core::MapChunkOutput* out) {
+  *out = co_await collector.finalize(device, combine, {});
+}
+
+// One chunk's finalize: the key gather plus a WordCount-style sum combiner
+// over the emit stream above (the collector is refilled untimed). The
+// post-processing kernel runs on the global pool (GW_THREADS).
+void BM_CollectorFinalize(benchmark::State& state) {
+  const EmitStream stream = make_emit_stream();
+  const core::CombineFn sum = [](std::string_view key,
+                                 const std::vector<std::string_view>& values,
+                                 core::ReduceContext& ctx) {
+    std::uint64_t total = 0;
+    for (auto v : values) total += apps::parse_u64(v);
+    ctx.emit(key, std::to_string(total));
+  };
+  sim::Simulation sim;
+  cl::Device device(sim, cl::DeviceSpec::cpu_dual_e5620());
+  core::HashTableCollector collector(kCollectorGroups);
+  core::MapChunkOutput out;
+  for (auto _ : state) {
+    state.PauseTiming();
+    emit_all(collector, stream);
+    state.ResumeTiming();
+    sim.spawn(finalize_into(collector, device, sum, &out));
+    sim.run();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["distinct_keys"] = static_cast<double>(out.distinct_keys);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stream.bytes));
+}
+BENCHMARK(BM_CollectorFinalize);
+
+// ---- Zipf sampling ----
+
+void BM_ZipfSample(benchmark::State& state) {
+  const util::ZipfSampler zipf(static_cast<std::size_t>(state.range(0)), 1.05);
+  util::Rng rng(2014);
+  for (auto _ : state) {
+    std::size_t acc = 0;
+    for (int i = 0; i < 1000; ++i) acc += zipf.sample(rng);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_ZipfSample)->Arg(2000)->Arg(20000);
 
 }  // namespace
 

@@ -47,16 +47,15 @@ struct Flags {
   std::uint64_t split_kb = 256;
   std::uint64_t seed = 42;
   std::string trace_path;  // empty = no export
-  // Network: profile plus topology/transport knobs. Defaults reproduce the
-  // legacy fabric (infinite bisection, unchunked, unbounded in-flight), so
-  // default output stays byte-identical.
+  // Network: profile plus topology/transport knobs. Defaults are off:
+  // infinite bisection, unchunked, unbounded in-flight data.
   std::string net = "ipoib";
   double oversub = 0;
   std::uint64_t chunk_kb = 0;
   std::uint64_t credit_kb = 0;
   int rack_size = 0;
   bool net_report = false;
-  // Hierarchical combining: off (legacy, byte-identical event order), node
+  // Hierarchical combining: off (the plain push shuffle), node
   // (per-node combiner ahead of the wire), rack (plus per-rack aggregation;
   // needs --rack-size to describe the topology).
   std::string combine = "off";
@@ -66,9 +65,9 @@ struct Flags {
   std::vector<core::JobConfig::CrashEvent> crash_events;
   std::vector<std::pair<int, double>> restarts;
   bool speculate = false;
-  // Memory governor: 0 = ungoverned (legacy unbounded buffers), so default
-  // runs stay byte-identical. --mem-mb arms budgeted spills + the
-  // multi-level external merge; --spill-bw overrides spill disk bandwidth.
+  // Memory governor: 0 = off (unbounded buffers). --mem-mb arms budgeted
+  // spills + the multi-level external merge; --spill-bw overrides spill
+  // disk bandwidth.
   std::uint64_t mem_mb = 0;
   double spill_bw_mb = 0;
   // Multi-round DAG mode: --rounds chains jobs through core::JobDag
@@ -108,7 +107,7 @@ void usage() {
       "  --net=ipoib|gbe    interconnect profile (QDR InfiniBand IPoIB or\n"
       "                     1 Gb Ethernet; default ipoib)\n"
       "  --oversub=F        core-switch bisection oversubscription factor\n"
-      "                     (0 = infinite bisection, the legacy model)\n"
+      "                     (0 = off: infinite bisection)\n"
       "  --chunk-kb=K       chunk messages larger than K KiB on the wire\n"
       "                     (0 = unchunked)\n"
       "  --credit-kb=K      per-peer shuffle credit window in KiB\n"
@@ -118,7 +117,7 @@ void usage() {
       "  --combine=off|node|rack  hierarchical combining: node-level\n"
       "                     combiner and/or rack-level aggregation ahead of\n"
       "                     the core switch (rack needs --rack-size; default\n"
-      "                     off = legacy push shuffle)\n"
+      "                     off = plain push shuffle)\n"
       "  --net-report       print the remote-traffic split (shuffle/DFS/\n"
       "                     control bytes, plus rack_agg when combining)\n"
       "                     after the job report\n"

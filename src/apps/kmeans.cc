@@ -53,7 +53,7 @@ AppSpec kmeans(KmeansConfig config, std::vector<float> centers) {
   spec.kernels.map = [k, d, shared_centers](std::string_view record,
                                             core::MapContext& ctx) {
     GW_CHECK(record.size() == static_cast<std::size_t>(d) * 4);
-    float point[16];
+    float point[16] = {};
     GW_CHECK(d <= 16);
     for (int j = 0; j < d; ++j) point[j] = read_f32(record.data() + 4 * j);
     // k*d multiply-add-compare distance evaluations plus fixed per-point
@@ -147,7 +147,7 @@ KmeansReference kmeans_reference(const KmeansConfig& config,
   std::vector<double> sums(static_cast<std::size_t>(k) * d, 0.0);
   const std::size_t record = static_cast<std::size_t>(d) * 4;
   for (std::size_t off = 0; off + record <= points.size(); off += record) {
-    float point[16];
+    float point[16] = {};
     for (int j = 0; j < d; ++j) {
       point[j] = read_f32(reinterpret_cast<const char*>(points.data()) + off +
                           4 * j);

@@ -1,5 +1,7 @@
 #include "apps/wordcount.h"
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -66,36 +68,47 @@ AppSpec wordcount() {
 
 util::Bytes generate_wiki_text(std::uint64_t bytes, std::uint64_t seed) {
   constexpr std::size_t kVocab = 20000;
+  static const std::vector<std::string> vocab = [] {
+    std::vector<std::string> words(kVocab);
+    for (std::size_t r = 0; r < kVocab; ++r) words[r] = vocab_word(r);
+    return words;
+  }();
   util::Rng rng(seed);
   util::ZipfSampler zipf(kVocab, 1.05);
-  std::string text;
+  util::Bytes text;
   text.reserve(bytes + 64);
+  const auto append = [&text](std::string_view w) {
+    text.insert(text.end(), w.begin(), w.end());
+  };
   std::uint64_t sparse_id = 0;
   int words_in_line = 0;
+  char tail[16];
   while (text.size() < bytes) {
     // ~3% sparse tail words (unique), matching the "large number of sparse
     // words" the paper describes.
     if (rng.below(100) < 3) {
       // Letters only (the map kernel tokenizes on alphabetic runs).
       std::uint64_t id = sparse_id++;
-      std::string tail = "xq";
+      std::size_t len = 0;
+      tail[len++] = 'x';
+      tail[len++] = 'q';
       do {
-        tail.push_back(static_cast<char>('a' + id % 26));
+        tail[len++] = static_cast<char>('a' + id % 26);
         id /= 26;
       } while (id > 0);
-      text += tail;
+      append(std::string_view(tail, len));
     } else {
-      text += vocab_word(zipf.sample(rng));
+      append(vocab[zipf.sample(rng)]);
     }
     if (++words_in_line >= 12) {
-      text += '\n';
+      text.push_back('\n');
       words_in_line = 0;
     } else {
-      text += ' ';
+      text.push_back(' ');
     }
   }
-  if (text.empty() || text.back() != '\n') text += '\n';
-  return util::Bytes(text.begin(), text.end());
+  if (text.empty() || text.back() != '\n') text.push_back('\n');
+  return text;
 }
 
 std::map<std::string, std::uint64_t> wordcount_reference(

@@ -114,7 +114,7 @@ enum class OutputMode {
 };
 
 // Hierarchical combining tiers (beyond the per-chunk combiner):
-//   kOff  — legacy push shuffle, byte-identical event order.
+//   kOff  — the plain push shuffle: no combining beyond the chunk.
 //   kNode — a per-node combiner merges duplicate keys across ALL map tasks
 //           on the node before runs leave for remote partitions.
 //   kRack — node combining plus a rack-level aggregation hop: one
@@ -159,8 +159,8 @@ struct JobConfig {
 
   // --- memory governor / external shuffle-sort ---
   // Per-node memory budget for pipeline buffers, the intermediate-store run
-  // cache and merge scratch. 0 = ungoverned: the legacy unbounded-memory
-  // data path, byte-identical to previous releases. Nonzero budgets make
+  // cache and merge scratch. 0 = off: unbounded memory, no pools, no
+  // spills. Nonzero budgets make
   // every buffer-holding component acquire bytes from per-stage pools
   // (core::MemoryGovernor), blocking deterministically under pressure; the
   // store spills sorted runs to disk and consolidates them with a
@@ -177,10 +177,10 @@ struct JobConfig {
   bool governed() const { return node_memory_bytes > 0; }
 
   // --- hierarchical combining (node / rack tiers) ---
-  // Default off: the push shuffle keeps its legacy byte-identical event
-  // order. kNode/kRack require an associative app combiner (and kRack a
-  // NetworkProfile rack_size); the runtime normalizes impossible requests
-  // down (kRack -> kNode -> kOff) instead of failing.
+  // Default off: the plain push shuffle. kNode/kRack require an
+  // associative app combiner (and kRack a NetworkProfile rack_size); the
+  // runtime normalizes impossible requests down (kRack -> kNode -> kOff)
+  // instead of failing.
   CombineMode combine_mode = CombineMode::kOff;
   // Ungoverned runs: buffered pre-combine bytes per node before a combine
   // flush. Governed runs use the governor's combine pool instead.
@@ -247,7 +247,7 @@ struct JobConfig {
   // are tolerated, and input data loss is survivable — lost splits are
   // skipped and counted in JobStats::input_splits_lost so the DAG driver
   // can rewind to the last round whose inputs still exist. Single jobs
-  // (-1) keep the legacy behavior: data loss is fatal.
+  // (-1) treat data loss as fatal.
   int dag_round = -1;
 
   // --- multi-tenant scheduling (core::Scheduler) ---

@@ -124,8 +124,21 @@ std::optional<InputSplit> SplitScheduler::next_speculative(int node) {
   return std::nullopt;
 }
 
-util::Bytes encode_run_frame(int g, const Run& run) {
+namespace {
+
+// A writer with room for a frame header of `header` bytes plus the run:
+// serialize() adds a flag byte, three varints (at most 10 bytes each) and
+// the payload. One allocation per frame.
+util::ByteWriter frame_writer(std::size_t header, const Run& run) {
   util::ByteWriter w;
+  w.buffer().reserve(header + 31 + run.data.size());
+  return w;
+}
+
+}  // namespace
+
+util::Bytes encode_run_frame(int g, const Run& run) {
+  util::ByteWriter w = frame_writer(4, run);
   w.put_u32(static_cast<std::uint32_t>(g));
   run.serialize(w);
   return w.take();
@@ -134,7 +147,7 @@ util::Bytes encode_run_frame(int g, const Run& run) {
 util::Bytes encode_combined_frame(int g,
                                   const std::vector<std::uint64_t>& tags,
                                   const Run& run) {
-  util::ByteWriter w;
+  util::ByteWriter w = frame_writer(8 + 8 * tags.size(), run);
   w.put_u32(static_cast<std::uint32_t>(g));
   w.put_u32(static_cast<std::uint32_t>(tags.size()));
   for (std::uint64_t t : tags) w.put_u64(t);

@@ -355,7 +355,7 @@ sim::Task<void> Scheduler::run_job(int id) {
   cfg.port_base = net::kPortJobStride * (window + 1);
   // The trace scope stays keyed by JOB id (not window): a resumed job
   // reopens spans on the same labeled track across residencies.
-  cfg.trace_scope = "j" + std::to_string(id) + ".";
+  cfg.trace_scope = std::string("j").append(std::to_string(id)).append(".");
   // If ANY tenant injects node crashes, a neighbour's crash can kill a node
   // under every job sharing the cluster, so each must keep its map-output
   // ledger and output retry copies for recovery (submissions are all

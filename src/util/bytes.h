@@ -64,7 +64,12 @@ class ByteWriter {
   std::size_t size() const { return buffer().size(); }
 
  private:
-  void put_fixed(const void* data, std::size_t len) { put_bytes(data, len); }
+  void put_fixed(const void* data, std::size_t len) {
+    auto& buf = buffer();
+    const std::size_t at = buf.size();
+    buf.resize(at + len);
+    std::memcpy(buf.data() + at, data, len);
+  }
 
   Bytes owned_;
   Bytes* external_ = nullptr;
