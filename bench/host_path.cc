@@ -10,9 +10,11 @@
 //                 reference implementation
 //   * merge:      N-way merge_runs (N in {2, 8, 64}) vs the priority-queue
 //                 reference implementation
-//   * compress:   lz_compress + lz_decompress roundtrip
-//   * collector:  HashTableCollector emits under Zipf key skew, and the
-//                 finalize gather + combine over one chunk of them
+//   * compress:   lz_compress + lz_decompress roundtrip, and lz_compress
+//                 over small TeraSort-shaped runs (per-call fixed cost)
+//   * collector:  HashTableCollector emits under Zipf key skew, the
+//                 finalize gather + combine over one chunk of them, and
+//                 finalize on a sparse chunk (about 20 keys per group)
 //   * zipf:       ZipfSampler draws (every generated text input)
 //
 // Run via bench/run_host_path.sh to record BENCH_hostpath.json; CI smokes it
@@ -20,7 +22,9 @@
 // without a profiler.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -202,6 +206,48 @@ void BM_Decompress(benchmark::State& state) {
 }
 BENCHMARK(BM_Decompress);
 
+// Spilled and shuffled TeraSort runs are small: the fixed per-call cost of
+// lz_compress weighs as much as the bytes. 64 key-sorted runs of 20
+// TeraSort-shaped pairs (10-byte key, 90-byte payload), about 2 KiB each.
+std::vector<util::Bytes> make_terasort_runs() {
+  util::Rng rng(1979);
+  std::vector<util::Bytes> runs;
+  for (int r = 0; r < 64; ++r) {
+    std::vector<std::string> keys(20);
+    for (auto& k : keys) {
+      for (int i = 0; i < 10; ++i) {
+        k.push_back(static_cast<char>(' ' + rng.below(95)));
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    core::RunBuilder rb;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      std::string payload = std::to_string(r * 20 + i);
+      payload.resize(90, 'x');
+      rb.add(keys[i], payload);
+    }
+    runs.push_back(rb.finish(false).data);
+  }
+  return runs;
+}
+
+void BM_LzCompressSmallRuns(benchmark::State& state) {
+  const std::vector<util::Bytes> runs = make_terasort_runs();
+  std::int64_t bytes = 0;
+  for (const auto& r : runs) bytes += static_cast<std::int64_t>(r.size());
+  for (auto _ : state) {
+    for (const auto& r : runs) {
+      util::Bytes packed = util::lz_compress(r);
+      benchmark::DoNotOptimize(packed);
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(runs.size()));
+}
+BENCHMARK(BM_LzCompressSmallRuns);
+
 // ---- hash-table collector under Zipf skew ----
 
 constexpr std::size_t kInsertPairs = 100000;
@@ -253,24 +299,32 @@ void BM_HashCollectorInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_HashCollectorInsert);
 
+// The sparse shape of a TeraSort map chunk: 20 keys per group, each
+// emitted twice, in every one of the 64 groups.
+EmitStream make_sparse_emit_stream() {
+  EmitStream s;
+  for (std::uint32_t g = 0; g < kCollectorGroups; ++g) {
+    for (std::uint32_t i = 0; i < 40; ++i) {
+      const std::uint32_t rank = g * 20 + i % 20;
+      s.emits.emplace_back(g, rank);
+      s.bytes += collector_vocab()[rank].size() + 1;
+    }
+  }
+  return s;
+}
+
 sim::Task<> finalize_into(core::HashTableCollector& collector,
-                          cl::Device& device, const core::CombineFn& combine,
+                          cl::Device& device,
+                          const std::optional<core::CombineFn>& combine,
                           core::MapChunkOutput* out) {
   *out = co_await collector.finalize(device, combine, {});
 }
 
-// One chunk's finalize: the key gather plus a WordCount-style sum combiner
-// over the emit stream above (the collector is refilled untimed). The
-// post-processing kernel runs on the global pool (GW_THREADS).
-void BM_CollectorFinalize(benchmark::State& state) {
-  const EmitStream stream = make_emit_stream();
-  const core::CombineFn sum = [](std::string_view key,
-                                 const std::vector<std::string_view>& values,
-                                 core::ReduceContext& ctx) {
-    std::uint64_t total = 0;
-    for (auto v : values) total += apps::parse_u64(v);
-    ctx.emit(key, std::to_string(total));
-  };
+// Times finalize over `stream`, refilling the collector untimed before
+// each iteration. The post-processing kernel runs on the global pool
+// (GW_THREADS).
+void time_finalize(benchmark::State& state, const EmitStream& stream,
+                   const std::optional<core::CombineFn>& combine) {
   sim::Simulation sim;
   cl::Device device(sim, cl::DeviceSpec::cpu_dual_e5620());
   core::HashTableCollector collector(kCollectorGroups);
@@ -279,7 +333,7 @@ void BM_CollectorFinalize(benchmark::State& state) {
     state.PauseTiming();
     emit_all(collector, stream);
     state.ResumeTiming();
-    sim.spawn(finalize_into(collector, device, sum, &out));
+    sim.spawn(finalize_into(collector, device, combine, &out));
     sim.run();
     benchmark::DoNotOptimize(out);
   }
@@ -287,7 +341,28 @@ void BM_CollectorFinalize(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(stream.bytes));
 }
+
+// One chunk's finalize: the key gather plus a WordCount-style sum combiner
+// over the emit stream above.
+void BM_CollectorFinalize(benchmark::State& state) {
+  const core::CombineFn sum = [](std::string_view key,
+                                 const std::vector<std::string_view>& values,
+                                 core::ReduceContext& ctx) {
+    std::uint64_t total = 0;
+    for (auto v : values) total += apps::parse_u64(v);
+    ctx.emit(key, std::to_string(total));
+  };
+  time_finalize(state, make_emit_stream(), sum);
+}
 BENCHMARK(BM_CollectorFinalize);
+
+// The same on a sparse chunk with compaction, as TeraSort runs it: what is
+// timed is the per-chunk fixed cost of the gather and the table reset, not
+// the values.
+void BM_CollectorFinalizeSparse(benchmark::State& state) {
+  time_finalize(state, make_sparse_emit_stream(), std::nullopt);
+}
+BENCHMARK(BM_CollectorFinalizeSparse);
 
 // ---- Zipf sampling ----
 

@@ -28,6 +28,16 @@ class PairListEmitter : public ReduceEmitter {
   cl::KernelCounters* c_;
 };
 
+// Calls f(i) for every set bit i of `bits`, in ascending order.
+template <typename F>
+void for_each_set_bit(const std::vector<std::uint64_t>& bits, F&& f) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+  }
+}
+
 }  // namespace
 
 std::unique_ptr<MapOutputCollector> make_collector(OutputMode mode,
@@ -64,26 +74,38 @@ sim::Task<MapChunkOutput> SharedPoolCollector::finalize(
   co_return std::move(out);
 }
 
-HashTableCollector::Table::Table() : slots(kInitialSlots) {}
+HashTableCollector::Table::Table()
+    : slots(kInitialSlots), occupied(kInitialSlots / 64) {}
 
 void HashTableCollector::Table::reset() {
   blob.clear();
   values.clear();
-  slots.assign(kInitialSlots, Slot{});
+  if (grew) {
+    slots.assign(kInitialSlots, Slot{});
+    occupied.assign(kInitialSlots / 64, 0);
+    grew = false;
+  } else {
+    for_each_set_bit(occupied, [&](std::size_t idx) { slots[idx] = Slot{}; });
+    std::fill(occupied.begin(), occupied.end(), 0);
+  }
   used = 0;
   probes = 0;
 }
 
 void HashTableCollector::Table::grow() {
-  std::vector<Slot> old = std::move(slots);
+  const std::vector<Slot> old = std::move(slots);
+  const std::vector<std::uint64_t> old_occupied = std::move(occupied);
   slots.assign(old.size() * 2, Slot{});
+  occupied.assign(slots.size() / 64, 0);
+  grew = true;
   const std::uint64_t mask = slots.size() - 1;
-  for (const Slot& s : old) {
-    if (s.key_off == kEmpty) continue;
+  for_each_set_bit(old_occupied, [&](std::size_t old_idx) {
+    const Slot& s = old[old_idx];
     std::uint64_t idx = s.hash & mask;
     while (slots[idx].key_off != kEmpty) idx = (idx + 1) & mask;
     slots[idx] = s;
-  }
+    occupied[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  });
 }
 
 void HashTableCollector::Table::insert(std::string_view key,
@@ -108,22 +130,25 @@ void HashTableCollector::Table::insert(std::string_view key,
       s.hash = h;
       s.key_off = blob.size();
       s.key_len = static_cast<std::uint32_t>(key.size());
+      s.ord = static_cast<std::uint32_t>(used);
       blob.insert(blob.end(), key.begin(), key.end());
+      occupied[idx / 64] |= std::uint64_t{1} << (idx % 64);
       ++used;
       break;
     }
     if (s.hash == h && view(s.key_off, s.key_len) == key) break;
     idx = (idx + 1) & mask;
   }
-  // Append the value to the key's chain: one atomic head swap plus stores.
+  // Append the value to the key's list. The charge is that of a chain
+  // append on the device, one atomic head swap plus stores; the host keeps
+  // values in emit order tagged with the key's ordinal instead.
   Slot& s = slots[idx];
   c.charge_atomic(1);
   c.charge_write(value.size());
   const std::uint64_t voff = blob.size();
   blob.insert(blob.end(), value.begin(), value.end());
-  values.push_back(ValueNode{voff, static_cast<std::uint32_t>(value.size()),
-                             s.head});
-  s.head = static_cast<std::uint32_t>(values.size() - 1);
+  values.push_back(
+      ValueNode{voff, static_cast<std::uint32_t>(value.size()), s.ord});
   s.num_values++;
 }
 
@@ -142,11 +167,13 @@ std::uint64_t HashTableCollector::total_probes() const {
 }
 
 // Merges the per-group tables into one key list in first-seen order (over
-// groups, then slots) with each key's values in emit order, in two passes
-// over the tables. Pass 1 maps every occupied slot to a key id through an
-// open-addressed index keyed by the hash the slot already stores, and sums
-// the value counts per key. Pass 2 lays the value lists out as ranges of
-// one arena. Nothing is allocated once the buffers are warm.
+// groups, then slots) with each key's values in emit order, in two passes.
+// Pass 1 visits the occupied slots of each table and maps each to a key id
+// through an open-addressed index keyed by the hash the slot already
+// stores, sums the value counts per key, and records the key id of every
+// (table, claim ordinal). Pass 2 walks each table's values in emit order
+// and appends each to its key's range of one arena. Nothing is allocated
+// once the buffers are warm.
 struct HashTableCollector::Gather {
   // A distinct key; its values are arena[begin, begin + count).
   struct KeyEntry {
@@ -164,7 +191,8 @@ struct HashTableCollector::Gather {
   std::vector<std::uint32_t> index;  // key ids, kNoKey when free
   unsigned shift = 0;                // 64 - log2(index.size())
   std::vector<KeyEntry> keys;
-  std::vector<std::uint32_t> slot_keys;  // key id per occupied slot
+  // Key id per claim ordinal, the tables' ordinals laid end to end.
+  std::vector<std::uint32_t> ord_keys;
   std::vector<std::string_view> arena;
   // Per work-group: the value list handed to the combiner and the output
   // pairs. A group's items run on one thread, so each has one writer.
@@ -186,56 +214,59 @@ struct HashTableCollector::Gather {
     }
   }
 
+  // The id of the key in slot s of table t, added if new.
+  std::uint32_t key_id(const Table& t, const Table::Slot& s) {
+    const std::string_view key = t.view(s.key_off, s.key_len);
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t idx = home(s.hash);; idx = (idx + 1) & mask) {
+      const std::uint32_t id = index[idx];
+      if (id == kNoKey) {
+        const auto added = static_cast<std::uint32_t>(keys.size());
+        index[idx] = added;
+        keys.push_back(KeyEntry{key, s.hash, 0, 0});
+        if (keys.size() * 2 > index.size()) resize_index(index.size() * 2);
+        return added;
+      }
+      if (keys[id].hash == s.hash && keys[id].key == key) return id;
+    }
+  }
+
   void run(const std::vector<Table>& tables) {
     keys.clear();
-    slot_keys.clear();
+    ord_keys.clear();
     if (index.empty()) {
       resize_index(kMinIndex);
     } else {
       std::fill(index.begin(), index.end(), kNoKey);
     }
     for (const Table& t : tables) {
-      for (const Table::Slot& s : t.slots) {
-        if (s.key_off == Table::kEmpty) continue;
-        const std::string_view key = t.view(s.key_off, s.key_len);
-        const std::size_t mask = index.size() - 1;
-        std::uint32_t id;
-        for (std::size_t idx = home(s.hash);; idx = (idx + 1) & mask) {
-          id = index[idx];
-          if (id == kNoKey) {
-            id = static_cast<std::uint32_t>(keys.size());
-            index[idx] = id;
-            keys.push_back(KeyEntry{key, s.hash, 0, 0});
-            if (keys.size() * 2 > index.size()) resize_index(index.size() * 2);
-            break;
-          }
-          if (keys[id].hash == s.hash && keys[id].key == key) break;
-        }
+      const std::size_t first = ord_keys.size();
+      ord_keys.resize(first + t.used);
+      for_each_set_bit(t.occupied, [&](std::size_t idx) {
+        const Table::Slot& s = t.slots[idx];
+        const std::uint32_t id = key_id(t, s);
         keys[id].count += s.num_values;
-        slot_keys.push_back(id);
-      }
+        ord_keys[first + s.ord] = id;
+      });
     }
-    // Each range ends at its key's prefix sum. Walking groups, slots and
-    // the newest-first chains all backwards while filling each range from
-    // its end yields emit order and leaves `begin` at the range's start.
     std::uint64_t total = 0;
     for (KeyEntry& e : keys) {
+      e.begin = static_cast<std::uint32_t>(total);
       total += e.count;
       GW_CHECK(total < kNoKey);
-      e.begin = static_cast<std::uint32_t>(total);
     }
     arena.resize(total);
-    std::size_t next = slot_keys.size();
-    for (auto t = tables.rbegin(); t != tables.rend(); ++t) {
-      for (auto s = t->slots.rbegin(); s != t->slots.rend(); ++s) {
-        if (s->key_off == Table::kEmpty) continue;
-        KeyEntry& e = keys[slot_keys[--next]];
-        for (std::uint32_t v = s->head; v != Table::kNil;
-             v = t->values[v].next) {
-          arena[--e.begin] = t->view(t->values[v].off, t->values[v].len);
-        }
+    // Groups in order, each group's values in emit order: every key's
+    // range fills front to back in group order, then emit order. `begin`
+    // is the fill cursor and is moved back to the range's start after.
+    const std::uint32_t* table_keys = ord_keys.data();
+    for (const Table& t : tables) {
+      for (const Table::ValueNode& v : t.values) {
+        arena[keys[table_keys[v.ord]].begin++] = t.view(v.off, v.len);
       }
+      table_keys += t.used;
     }
+    for (KeyEntry& e : keys) e.begin -= e.count;
     if (scratch.size() < tables.size()) {
       scratch.resize(tables.size());
       out.resize(tables.size());

@@ -105,31 +105,34 @@ class HashTableCollector : public MapOutputCollector {
       std::uint64_t hash = 0;
       std::uint64_t key_off = kEmpty;
       std::uint32_t key_len = 0;
-      std::uint32_t head = kNil;     // newest value node
+      std::uint32_t ord = 0;  // claim ordinal: `used` when claimed
       std::uint32_t num_values = 0;
     };
+    // A value in emit order, tagged with its key's claim ordinal.
     struct ValueNode {
       std::uint64_t off;
       std::uint32_t len;
-      std::uint32_t next;
+      std::uint32_t ord;
     };
     static constexpr std::uint64_t kEmpty = ~0ull;
-    static constexpr std::uint32_t kNil = ~0u;
     static constexpr std::size_t kInitialSlots = 1024;
 
     util::Bytes blob;
     std::vector<Slot> slots;
+    std::vector<std::uint64_t> occupied;  // one bit per slot
     std::vector<ValueNode> values;
     std::size_t used = 0;
     std::uint64_t probes = 0;
+    bool grew = false;  // since the last reset
 
     Table();
     void insert(std::string_view key, std::string_view value,
                 cl::KernelCounters& c);
     void grow();
-    // Restores the empty state while keeping heap capacity. Slot count goes
-    // back to kInitialSlots so the grow()/rehash charge sequence of the next
-    // chunk matches a freshly constructed table exactly.
+    // Restores the empty state while keeping heap capacity. A table that
+    // grew goes back to kInitialSlots, so the grow()/rehash charge sequence
+    // of the next chunk matches a freshly constructed table exactly; one
+    // that did not clears only its occupied slots.
     void reset();
     std::string_view view(std::uint64_t off, std::uint32_t len) const {
       return std::string_view(reinterpret_cast<const char*>(blob.data()) + off,

@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -120,7 +120,8 @@ class IntermediateStore {
     std::vector<int> disk_levels;  // merge level per disk run (parallel)
     std::uint64_t cache_bytes = 0;
     bool queued = false;
-    std::set<std::uint64_t> seen_tags;  // never cleared (see add_run)
+    // Dedup tags taken in; never cleared (see add_run).
+    std::unordered_set<std::uint64_t> seen_tags;
   };
 
   // Shared admission tail of add_run/add_combined_run: governed

@@ -1,6 +1,8 @@
 #include "util/compress.h"
 
+#include <bit>
 #include <cstring>
+#include <vector>
 
 #include "util/error.h"
 
@@ -24,6 +26,37 @@ inline std::uint32_t hash4(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+// Length of the common prefix of a and b, at most `limit`, compared eight
+// bytes at a time.
+inline std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
+                                 std::size_t limit) {
+  std::size_t n = 0;
+  for (; n + 8 <= limit; n += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + n, 8);
+    std::memcpy(&y, b + n, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return n + static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return n + static_cast<std::size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+  }
+  while (n < limit && a[n] == b[n]) ++n;
+  return n;
+}
+
+// The matcher's hash table, one per thread and reused by every call on it.
+// An entry holds base + pos, where each call takes a base above every entry
+// written before it, so an entry below the current base is empty: no call
+// clears the table, and 64-bit entries cannot wrap.
+struct MatchTable {
+  std::vector<std::uint64_t> slots =
+      std::vector<std::uint64_t>(std::size_t{1} << kHashBits, 0);
+  std::uint64_t next_base = 1;
+};
+
 }  // namespace
 
 Bytes lz_compress(const void* input, std::size_t len) {
@@ -32,7 +65,10 @@ Bytes lz_compress(const void* input, std::size_t len) {
   out.put_varint(len);
   if (len == 0) return out.take();
 
-  std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xffffffffu);
+  thread_local MatchTable matcher;
+  std::uint64_t* const table = matcher.slots.data();
+  const std::uint64_t base = matcher.next_base;
+  matcher.next_base += len + 1;
 
   std::size_t pos = 0;
   std::size_t literal_start = 0;
@@ -46,17 +82,16 @@ Bytes lz_compress(const void* input, std::size_t len) {
 
   while (pos + kMinMatch <= len) {
     const std::uint32_t h = hash4(src + pos);
-    const std::uint32_t cand = table[h];
-    table[h] = static_cast<std::uint32_t>(pos);
+    const std::uint64_t entry = table[h];
+    table[h] = base + pos;
+    const std::size_t cand = entry - base;  // meaningful iff entry >= base
 
     std::size_t match_len = 0;
-    if (cand != 0xffffffffu && pos - cand <= kWindow &&
+    if (entry >= base && pos - cand <= kWindow &&
         std::memcmp(src + cand, src + pos, kMinMatch) == 0) {
-      match_len = kMinMatch;
-      const std::size_t limit = len - pos;
-      while (match_len < limit && src[cand + match_len] == src[pos + match_len]) {
-        ++match_len;
-      }
+      match_len = kMinMatch + common_prefix(src + cand + kMinMatch,
+                                            src + pos + kMinMatch,
+                                            len - pos - kMinMatch);
     }
 
     if (match_len >= kMinMatch) {
@@ -64,7 +99,7 @@ Bytes lz_compress(const void* input, std::size_t len) {
       // Index a few positions inside the match so later data can refer back.
       const std::size_t end = pos + match_len;
       for (std::size_t i = pos + 1; i + kMinMatch <= end && i + 4 <= len; i += 3) {
-        table[hash4(src + i)] = static_cast<std::uint32_t>(i);
+        table[hash4(src + i)] = base + i;
       }
       pos = end;
       literal_start = pos;
@@ -93,40 +128,38 @@ void lz_decompress_into(const void* input, std::size_t len, Bytes& out) {
   ByteReader in(input, len);
   const std::uint64_t total = in.get_varint();
   out.clear();
-  // Reserving the full output up front keeps out.data() stable below, so
-  // match copies can read and write through raw pointers.
-  out.reserve(total);
+  out.resize(total);
+  std::uint8_t* const dst = out.data();
+  std::size_t size = 0;  // bytes written so far
   const auto* src = static_cast<const std::uint8_t*>(input);
-  while (out.size() < total) {
+  while (size < total) {
     const std::uint64_t lit = in.get_varint();
     if (lit > 0) {
       if (in.remaining() < lit) throw_error("lz: truncated literal run");
-      const std::size_t off = out.size();
-      out.resize(off + lit);
-      std::memcpy(out.data() + off, src + in.position(), lit);
+      if (lit > total - size) throw_error("lz: literal overruns output");
+      std::memcpy(dst + size, src + in.position(), lit);
+      size += lit;
       in.skip(lit);
     }
     const std::uint64_t match = in.get_varint();
     if (match == 0) {
-      if (out.size() < total && in.done())
-        throw_error("lz: stream ended early");
+      if (size < total && in.done()) throw_error("lz: stream ended early");
       continue;
     }
     const std::uint64_t dist = in.get_varint();
-    if (dist == 0 || dist > out.size()) throw_error("lz: bad match distance");
-    if (out.size() + match > total) throw_error("lz: match overruns output");
-    const std::size_t off = out.size();
-    out.resize(off + match);
-    const std::uint8_t* from = out.data() + off - dist;
-    std::uint8_t* to = out.data() + off;
+    if (dist == 0 || dist > size) throw_error("lz: bad match distance");
+    if (size + match > total) throw_error("lz: match overruns output");
+    const std::uint8_t* from = dst + size - dist;
+    std::uint8_t* to = dst + size;
     if (dist >= match) {
       std::memcpy(to, from, match);
     } else {
       // Overlapping match (RLE-style): must copy byte-by-byte forward.
       for (std::uint64_t i = 0; i < match; ++i) to[i] = from[i];
     }
+    size += match;
   }
-  if (out.size() != total) throw_error("lz: size mismatch");
+  if (size != total) throw_error("lz: size mismatch");
 }
 
 }  // namespace gw::util
